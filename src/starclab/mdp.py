@@ -182,16 +182,21 @@ def optimal_values(
     tol: float = DEFAULT_DP_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal state values and Q-values by value iteration."""
+    """Optimal state values and Q-values by Howard policy iteration.
+
+    ``tol`` bounds the Bellman residual; it is floored at the roundoff of the
+    Q-values (``_kernels.tolerance``).  ``max_iters`` bounds the rounds.
+    """
     from . import _kernels
 
     reward = check_reward(mdp, reward)
     er = expected_reward(mdp, reward)
-    v, q, _, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, tol, max_iters)
+    v, q, rounds, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, tol, max_iters)
+    tol = _kernels.tolerance(tol, q)
     if resid > tol:
         raise ConvergenceError(
-            f"value iteration did not converge in {max_iters} iterations "
-            f"(residual {resid:g} > {tol:g})",
+            f"policy iteration did not converge in {rounds} rounds "
+            f"(Bellman residual {resid:g} > {tol:g})",
             residual=resid,
         )
     return v, q

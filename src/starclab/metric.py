@@ -18,7 +18,10 @@ import numpy as np
 from .mdp import TabularMdp, check_reward
 from .transforms import project_invariant
 
-ZERO_TOL_PER_DIM = 1e-10
+# A reward is trivial when its canonical part is at most this fraction of
+# the reward's own norm: below that it is roundoff of the projection, at any
+# reward magnitude.
+TRIVIAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,34 +50,32 @@ class MetricReport:
         }
 
 
-def zero_tol(mdp: TabularMdp) -> float:
-    return ZERO_TOL_PER_DIM * mdp.n_states * mdp.n_actions * mdp.n_states
-
-
 def canonicalize(mdp: TabularMdp, reward: np.ndarray) -> CanonicalReward:
     reward = check_reward(mdp, reward)
     canonical = reward - project_invariant(mdp, reward)
     return CanonicalReward(canonical=canonical, norm=float(np.linalg.norm(canonical)))
 
 
+def _unit(mdp: TabularMdp, reward: np.ndarray) -> tuple[CanonicalReward, np.ndarray]:
+    """The canonical reward and its unit direction (zero for trivial rewards)."""
+    canon = canonicalize(mdp, reward)
+    if canon.norm <= TRIVIAL_RTOL * np.linalg.norm(reward):
+        return canon, np.zeros_like(canon.canonical)
+    return canon, canon.canonical / canon.norm
+
+
 def standardize(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     """Unit-norm canonical reward, or the zero tensor for trivial rewards."""
-    canon = canonicalize(mdp, reward)
-    if canon.norm <= zero_tol(mdp):
-        return np.zeros_like(canon.canonical)
-    return canon.canonical / canon.norm
+    return _unit(mdp, reward)[1]
 
 
 def is_trivial(mdp: TabularMdp, reward: np.ndarray) -> bool:
-    return canonicalize(mdp, reward).norm <= zero_tol(mdp)
+    return not standardize(mdp, reward).any()
 
 
 def starc_distance(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> MetricReport:
-    canon_1 = canonicalize(mdp, reward_1)
-    canon_2 = canonicalize(mdp, reward_2)
-    tol = zero_tol(mdp)
-    unit_1 = canon_1.canonical / canon_1.norm if canon_1.norm > tol else np.zeros_like(canon_1.canonical)
-    unit_2 = canon_2.canonical / canon_2.norm if canon_2.norm > tol else np.zeros_like(canon_2.canonical)
+    canon_1, unit_1 = _unit(mdp, reward_1)
+    canon_2, unit_2 = _unit(mdp, reward_2)
     distance = 0.5 * float(np.linalg.norm(unit_1 - unit_2))
     cosine = float((unit_1 * unit_2).sum())
     return MetricReport(

@@ -3,7 +3,7 @@
 Three models are provided — uniform-over-optimal-actions, Boltzmann-rational
 (per-state softmax of the optimal Q-values at inverse temperature beta), and
 maximal-causal-entropy (the entropy-regularised Bellman fixed point with
-weight alpha).
+weight alpha, solved by soft policy iteration).
 """
 
 from __future__ import annotations
@@ -64,13 +64,14 @@ def mce_policy(
         raise InvalidInstance("alpha must be positive")
     reward = check_reward(mdp, reward)
     er = expected_reward(mdp, reward)
-    v, q, _, resid = _kernels.soft_value_iteration(
+    v, q, rounds, resid = _kernels.soft_value_iteration(
         er, mdp.transition, mdp.discount, alpha, tol, max_iters
     )
+    tol = _kernels.tolerance(tol, q)
     if resid > tol:
         raise ConvergenceError(
-            f"soft value iteration did not converge in {max_iters} iterations "
-            f"(residual {resid:g} > {tol:g})",
+            f"soft policy iteration did not converge in {rounds} rounds "
+            f"(soft Bellman residual {resid:g} > {tol:g})",
             residual=resid,
         )
     policy = np.exp((q - v[:, None]) / alpha)

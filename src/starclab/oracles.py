@@ -2,16 +2,16 @@
 
 Everything here is deliberately independent of the canonicalization and
 model code: policy enumeration, return comparison over all enumerable
-policies, Monte Carlo return estimation, and exhaustive regret-witness
-search.  The oracles are only feasible on small instances and exist to
-cross-check the fast paths.
+policies, plain value iteration, Monte Carlo return estimation, and
+exhaustive regret-witness search.  The oracles are only feasible on small
+instances and exist to cross-check the fast paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mdp import InvalidInstance, TabularMdp, check_reward, policy_return
+from .mdp import ConvergenceError, InvalidInstance, TabularMdp, check_reward, policy_return
 
 DEFAULT_CAP = 4096
 SIGN_BAND = 1e-10
@@ -101,6 +101,32 @@ def same_order_oracle(
         if _signs(np.array([d1]))[0] != _signs(np.array([d2]))[0]:
             return False
     return True
+
+
+def value_iteration_oracle(
+    mdp: TabularMdp,
+    reward: np.ndarray,
+    weight: float | None = None,
+    tol: float = 1e-12,
+    max_sweeps: int = 1_000_000,
+) -> np.ndarray:
+    """Plain value iteration: optimal values, or soft values at ``weight``.
+
+    Sweeps the (soft) Bellman operator from zero until successive iterates
+    differ by less than ``tol``; the values are then within
+    ``tol * gamma / (1 - gamma)`` of the fixed point.
+    """
+    er = np.einsum("sat,sat->sa", mdp.transition, check_reward(mdp, reward))
+    v = np.zeros(mdp.n_states)
+    for _ in range(max_sweeps):
+        q = er + mdp.discount * (mdp.transition @ v)
+        v_new = q.max(axis=1)
+        if weight is not None:
+            v_new = v_new + weight * np.log(np.exp((q - v_new[:, None]) / weight).sum(axis=1))
+        if np.abs(v_new - v).max() < tol:
+            return v_new
+        v = v_new
+    raise ConvergenceError(f"value iteration did not settle in {max_sweeps} sweeps")
 
 
 def monte_carlo_return(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starclab import (
@@ -66,6 +66,19 @@ class TestDistance:
         assert report.distance == pytest.approx(0.5, abs=1e-8)
         assert report.canonical_norm_2 < 1e-9
         assert report.cosine == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-12.0, 12.0))
+    @example(-12.0)
+    @example(12.0)
+    def test_scale_invariance_at_every_magnitude(self, exponent):
+        mdp = random_mdp(6, 4, 3)
+        reward = random_reward(7, 4, 3)
+        c = 10.0**exponent
+        assert starc_distance(mdp, reward, c * reward).distance == pytest.approx(0.0, abs=1e-12)
+        assert starc_distance(mdp, c * reward, -c * reward).distance == pytest.approx(1.0, abs=1e-12)
+        assert not is_trivial(mdp, c * reward)
+        assert is_trivial(mdp, np.full((4, 3, 4), 2.5 * c))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

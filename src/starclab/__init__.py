@@ -13,7 +13,15 @@ from .mdp import (
     random_reward,
     three_state_chain,
 )
-from .metric import CanonicalReward, MetricReport, canonicalize, regret_gap, standardize, starc_distance
+from .metric import (
+    CanonicalReward,
+    MetricReport,
+    canonicalize,
+    distance_table,
+    regret_gap,
+    standardize,
+    starc_distance,
+)
 from .models import (
     BehavioralModelSpec,
     ModelTable,
@@ -51,6 +59,7 @@ from .transforms import (
     TransformChain,
     apply_potential_shaping,
     apply_redistribution_noise,
+    canonical_operator,
     differ_by,
     invariance_basis,
     invisible_reward_discount,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .mdp import InvalidInstance
-from .reports import ExperimentConfig, emit_report, run_experiment
+from .reports import ExperimentConfig, emit_report, report_json, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -23,8 +23,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--tol-policy", type=float, default=1e-6)
-    parser.add_argument("--tol-dp", type=float, default=1e-10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,14 +183,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             emit_report(report, args.format, args.out)
-        except OSError as exc:
-            print(f"pipeline error: {exc}", file=sys.stderr)
-            return EXIT_PIPELINE
-    else:
-        print(json.dumps(report, indent=2))
+        else:
+            print(report_json(report))
+    except (OSError, InvalidInstance) as exc:
+        print(f"pipeline error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
     return EXIT_OK
 
 

@@ -7,16 +7,21 @@ rewards under which all policies tie).  The distance between two rewards is
 half the Euclidean distance between their standardized forms: 0 means the
 rewards order policies identically, 1 means they order policies oppositely,
 and distance from any non-trivial reward to a trivial one is 0.5.
+
+Canonicalization is closed form (``transforms.CanonicalOperator``) and works
+on stacks of rewards, so ``distance_table`` standardizes n rewards with one
+operator product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mdp import TabularMdp, check_reward
-from .transforms import project_invariant
+from .transforms import CanonicalOperator, canonical_operator
 
 # A reward is trivial when its canonical part is at most this fraction of
 # the reward's own norm: below that it is roundoff of the projection, at any
@@ -50,23 +55,38 @@ class MetricReport:
         }
 
 
+def _stack(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray:
+    return np.stack([check_reward(mdp, reward) for reward in rewards])
+
+
+def _standardized(
+    operator: CanonicalOperator, rewards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical coordinates of a reward stack, their norms, and unit coordinates.
+
+    Coordinates are orthonormal, so norms and distances computed on them are
+    those of the canonical tensors.  A trivial reward's unit coordinates are
+    zero.
+    """
+    coords = operator.coordinates(rewards)
+    norms = np.linalg.norm(coords, axis=1)
+    trivial = norms <= TRIVIAL_RTOL * np.linalg.norm(rewards.reshape(len(rewards), -1), axis=1)
+    units = np.zeros_like(coords)
+    np.divide(coords, norms[:, None], out=units, where=~trivial[:, None])
+    return coords, norms, units
+
+
 def canonicalize(mdp: TabularMdp, reward: np.ndarray) -> CanonicalReward:
-    reward = check_reward(mdp, reward)
-    canonical = reward - project_invariant(mdp, reward)
-    return CanonicalReward(canonical=canonical, norm=float(np.linalg.norm(canonical)))
-
-
-def _unit(mdp: TabularMdp, reward: np.ndarray) -> tuple[CanonicalReward, np.ndarray]:
-    """The canonical reward and its unit direction (zero for trivial rewards)."""
-    canon = canonicalize(mdp, reward)
-    if canon.norm <= TRIVIAL_RTOL * np.linalg.norm(reward):
-        return canon, np.zeros_like(canon.canonical)
-    return canon, canon.canonical / canon.norm
+    operator = canonical_operator(mdp)
+    coords, norms, _ = _standardized(operator, _stack(mdp, [reward]))
+    return CanonicalReward(canonical=operator.tensor(coords)[0], norm=float(norms[0]))
 
 
 def standardize(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     """Unit-norm canonical reward, or the zero tensor for trivial rewards."""
-    return _unit(mdp, reward)[1]
+    operator = canonical_operator(mdp)
+    _, _, units = _standardized(operator, _stack(mdp, [reward]))
+    return operator.tensor(units)[0]
 
 
 def is_trivial(mdp: TabularMdp, reward: np.ndarray) -> bool:
@@ -74,16 +94,24 @@ def is_trivial(mdp: TabularMdp, reward: np.ndarray) -> bool:
 
 
 def starc_distance(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> MetricReport:
-    canon_1, unit_1 = _unit(mdp, reward_1)
-    canon_2, unit_2 = _unit(mdp, reward_2)
-    distance = 0.5 * float(np.linalg.norm(unit_1 - unit_2))
-    cosine = float((unit_1 * unit_2).sum())
+    _, norms, (unit_1, unit_2) = _standardized(canonical_operator(mdp), _stack(mdp, [reward_1, reward_2]))
     return MetricReport(
-        distance=distance,
-        canonical_norm_1=canon_1.norm,
-        canonical_norm_2=canon_2.norm,
-        cosine=cosine,
+        distance=0.5 * float(np.linalg.norm(unit_1 - unit_2)),
+        canonical_norm_1=float(norms[0]),
+        canonical_norm_2=float(norms[1]),
+        cosine=float(unit_1 @ unit_2),
     )
+
+
+def distance_table(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, n) table of STARC distances between n rewards on one environment.
+
+    The rewards are standardized together, with one operator product.  Each
+    entry is taken from the difference of two standardized rewards, not from
+    their cosine, so near-identical rewards stay accurate to roundoff.
+    """
+    _, _, units = _standardized(canonical_operator(mdp), _stack(mdp, rewards))
+    return np.stack([0.5 * np.linalg.norm(units - unit, axis=1) for unit in units])
 
 
 def regret_gap(

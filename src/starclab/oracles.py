@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mdp import ConvergenceError, InvalidInstance, TabularMdp, check_reward, policy_return
+from .transforms import invariance_basis
 
 DEFAULT_CAP = 4096
 SIGN_BAND = 1e-10
@@ -127,6 +128,19 @@ def value_iteration_oracle(
             return v_new
         v = v_new
     raise ConvergenceError(f"value iteration did not settle in {max_sweeps} sweeps")
+
+
+def dense_invariant_projection(mdp: TabularMdp, tensor: np.ndarray) -> np.ndarray:
+    """Projection onto the invariance subspace through its explicit orthonormal basis.
+
+    Builds (or reuses) the O((S^2 A)^3) SVD basis of ``invariance_basis``, so
+    it is only feasible for small environments; it is the dense ground truth
+    for the closed-form ``transforms.project_invariant``.
+    """
+    basis = invariance_basis(mdp).combined_orthonormal
+    flat_basis = basis.reshape(basis.shape[0], -1)
+    tensor = np.asarray(tensor, dtype=float)
+    return ((flat_basis @ tensor.ravel()) @ flat_basis).reshape(tensor.shape)
 
 
 def monte_carlo_return(

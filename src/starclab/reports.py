@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
             raise InvalidInstance(
                 f"kind: unknown experiment kind {self.kind!r}; expected one of {sorted(EXPERIMENT_KINDS)}"
             )
-        for key in ("eta", "tol_dp", "zero_tol"):
+        for key in ("eta", "tol_dp"):
             if key in self.params and self.params[key] <= 0:
                 raise InvalidInstance(f"params.{key}: tolerance must be positive")
 
@@ -178,10 +179,39 @@ def _flatten_scalars(prefix: str, obj, out: dict) -> None:
         out[prefix] = obj
 
 
+def _non_finite_field(prefix: str, obj) -> str | None:
+    """Dotted path of the first NaN or infinite float in a report, if any."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_field(f"{prefix}.{key}" if prefix else str(key), value)
+        if found is not None:
+            return found
+    return None
+
+
+def report_json(report: dict) -> str:
+    """The report as strict JSON text; NaN and infinities raise InvalidInstance."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        where = _non_finite_field("", report)
+        if where is None:
+            raise
+        raise InvalidInstance(f"report field {where} is not finite; JSON cannot represent it") from exc
+
+
 def emit_report(report: dict, fmt: str, path) -> None:
     if fmt == "json":
+        text = report_json(report)  # before opening, so a bad report leaves no file
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.write(text)
     elif fmt == "csv":
         flat: dict = {}
         _flatten_scalars("", report, flat)

@@ -29,7 +29,7 @@ from .mdp import (
     occupancy_measure,
     random_reward,
 )
-from .metric import canonicalize, standardize, starc_distance
+from .metric import canonicalize, distance_table, standardize, starc_distance
 from .models import BehavioralModelSpec, ModelTable
 from .transforms import (
     Nudge,
@@ -38,10 +38,10 @@ from .transforms import (
     Shaping,
     TransformChain,
     apply_chain,
-    invariance_basis,
+    apply_step,
+    canonical_operator,
     invisible_reward_discount,
     invisible_reward_transition,
-    project_invariant,
     shaping_tensor,
 )
 
@@ -109,15 +109,56 @@ class PolicyMetricSpec:
         return float(np.linalg.norm(diff))
 
 
-def _pair_distances(mdp_eval: TabularMdp, hypotheses: HypothesisSet) -> dict:
-    dist = {}
-    items = hypotheses.rewards
-    for i, (id_1, r_1) in enumerate(items):
-        for id_2, r_2 in items[i:]:
-            d = starc_distance(mdp_eval, r_1, r_2).distance
-            dist[(id_1, id_2)] = d
-            dist[(id_2, id_1)] = d
-    return dist
+def _pair_distances(mdp_eval: TabularMdp, hypotheses: HypothesisSet) -> np.ndarray:
+    """(n, n) STARC distances between the hypotheses, in hypothesis order."""
+    return distance_table(mdp_eval, [reward for _, reward in hypotheses.rewards])
+
+
+def _policy_gaps(table_1: ModelTable, table_2: ModelTable) -> np.ndarray:
+    """(n, n) sup-norm distances between the policies of two tables, row i from table_1."""
+    stack_1 = np.stack([policy.ravel() for _, policy in table_1.entries])
+    stack_2 = np.stack([policy.ravel() for _, policy in table_2.entries])
+    return np.stack([np.abs(stack_2 - policy).max(axis=1) for policy in stack_1])
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Everything the four conditions read: distances and f/g policy-gap matrices."""
+
+    ids: tuple[str, ...]
+    dist: np.ndarray
+    fg: np.ndarray
+    ff: np.ndarray
+
+    @classmethod
+    def build(
+        cls, f: ModelTable, g: ModelTable, hypotheses: HypothesisSet, mdp_eval: TabularMdp
+    ) -> "_Tables":
+        ids = hypotheses.ids
+        if f.ids != ids or g.ids != ids:
+            raise InvalidInstance("f, g, and the hypothesis set must share the same reward ids")
+        return cls(ids, _pair_distances(mdp_eval, hypotheses), _policy_gaps(f, g), _policy_gaps(f, f))
+
+    def violations(self, epsilon: float, eta: float) -> list[dict]:
+        ids, dist = self.ids, self.dist
+        far = dist > epsilon + DIST_TOL
+        violations = [
+            {"condition": 1, "ids": [ids[i], ids[j]], "distance": float(dist[i, j])}
+            for i, j in np.argwhere((self.fg <= eta) & far)
+        ]
+        violations += [
+            {"condition": 2, "ids": [ids[i], ids[j]], "distance": float(dist[i, j])}
+            for i, j in np.argwhere(np.triu((self.ff <= eta) & far, k=1))
+        ]
+        best = self.fg.min(axis=0)  # per g-policy, its closest f-policy
+        violations += [
+            {"condition": 3, "ids": [ids[j]], "policy_gap": float(best[j])}
+            for j in np.flatnonzero(best > eta)
+        ]
+        max_fg_gap = float(np.diag(self.fg).max())
+        if max_fg_gap <= eta:
+            violations.append({"condition": 4, "ids": [], "policy_gap": max_fg_gap})
+        return violations
 
 
 def check_epsilon_robust(
@@ -138,34 +179,7 @@ def check_epsilon_robust(
     Policy equality is sup-norm closeness within ``eta``; distances get a
     1e-8 floating-point slack on top of ``epsilon``.
     """
-    ids = hypotheses.ids
-    if f.ids != ids or g.ids != ids:
-        raise InvalidInstance("f, g, and the hypothesis set must share the same reward ids")
-    dist = _pair_distances(mdp_eval, hypotheses)
-    violations: list[dict] = []
-
-    for id_1 in ids:
-        for id_2 in ids:
-            gap = np.abs(f.policy(id_1) - g.policy(id_2)).max()
-            if gap <= eta and dist[(id_1, id_2)] > epsilon + DIST_TOL:
-                violations.append(
-                    {"condition": 1, "ids": [id_1, id_2], "distance": dist[(id_1, id_2)]}
-                )
-    for i, id_1 in enumerate(ids):
-        for id_2 in ids[i + 1 :]:
-            gap = np.abs(f.policy(id_1) - f.policy(id_2)).max()
-            if gap <= eta and dist[(id_1, id_2)] > epsilon + DIST_TOL:
-                violations.append(
-                    {"condition": 2, "ids": [id_1, id_2], "distance": dist[(id_1, id_2)]}
-                )
-    for id_g in ids:
-        best = min(np.abs(g.policy(id_g) - f.policy(id_f)).max() for id_f in ids)
-        if best > eta:
-            violations.append({"condition": 3, "ids": [id_g], "policy_gap": float(best)})
-    max_fg_gap = max(np.abs(f.policy(rid) - g.policy(rid)).max() for rid in ids)
-    if max_fg_gap <= eta:
-        violations.append({"condition": 4, "ids": [], "policy_gap": float(max_fg_gap)})
-
+    violations = _Tables.build(f, g, hypotheses, mdp_eval).violations(epsilon, eta)
     return RobustnessVerdict(
         robust=not violations,
         epsilon_used=epsilon,
@@ -182,19 +196,11 @@ def min_robust_epsilon(
     eta: float = DEFAULT_ETA,
 ) -> float:
     """Tightest epsilon satisfying conditions 1-2; +inf if 3 or 4 fails."""
-    verdict = check_epsilon_robust(f, g, hypotheses, mdp_eval, epsilon=np.inf, eta=eta)
-    if any(v["condition"] in (3, 4) for v in verdict.violations):
+    tables = _Tables.build(f, g, hypotheses, mdp_eval)
+    if tables.violations(math.inf, eta):  # at epsilon = inf only conditions 3 and 4 can fail
         return math.inf
-    ids = hypotheses.ids
-    dist = _pair_distances(mdp_eval, hypotheses)
-    worst = 0.0
-    for id_1 in ids:
-        for id_2 in ids:
-            if np.abs(f.policy(id_1) - g.policy(id_2)).max() <= eta:
-                worst = max(worst, dist[(id_1, id_2)])
-            if np.abs(f.policy(id_1) - f.policy(id_2)).max() <= eta:
-                worst = max(worst, dist[(id_1, id_2)])
-    return worst
+    collide = (tables.fg <= eta) | (tables.ff <= eta)
+    return float(tables.dist[collide].max(initial=0.0))
 
 
 def nudge_bound(epsilon: float) -> float:
@@ -228,7 +234,7 @@ def verify_transformation_bound(
             if isinstance(step, Nudge):
                 norm_before = canonicalize(mdp, current).norm
                 nudge_norm = float(np.linalg.norm(step.delta))
-            current = _apply_step_checked(mdp, current, step)
+            current = apply_step(mdp, current, step)
         if norm_before is None:
             norm_before = canonicalize(mdp, probe).norm
         bound = norm_before * nudge_bound(epsilon) + NUDGE_TOL
@@ -249,22 +255,15 @@ def verify_transformation_bound(
     return all_ok, reports
 
 
-def _apply_step_checked(mdp, reward, step):
-    from .transforms import apply_step
-
-    return apply_step(mdp, reward, step)
-
-
 def _split_invariant(mdp: TabularMdp, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write an invariance-subspace tensor as shaping(phi) + redistribution delta."""
-    basis = invariance_basis(mdp)
-    shaping_flat = basis.shaping_dirs.reshape(basis.shaping_dirs.shape[0], -1)
-    redist_flat = basis.redistribution_dirs.reshape(basis.redistribution_dirs.shape[0], -1)
-    generators = np.concatenate([shaping_flat, redist_flat], axis=0)
-    coeffs, _, _, _ = np.linalg.lstsq(generators.T, tensor.ravel(), rcond=None)
-    phi = coeffs[: mdp.n_states]
-    delta = (coeffs[mdp.n_states :] @ redist_flat).reshape(tensor.shape)
-    return phi, delta
+    """Write an invariance-subspace tensor as shaping(phi) + redistribution delta.
+
+    phi is the potential of the closed-form canonicalization (the shaping
+    whose conditional mean matches the tensor's), and delta is the
+    remainder, which then has zero conditional mean.
+    """
+    phi = canonical_operator(mdp).potentials(tensor[None])[0]
+    return phi, tensor - shaping_tensor(mdp, phi)
 
 
 def decompose_transformation(
@@ -652,17 +651,11 @@ def two_epsilon_lemma_check(
     eta: float = DEFAULT_ETA,
 ) -> bool:
     """On a robust pair, verify g-policy collisions only join rewards within 2*epsilon."""
-    verdict = check_epsilon_robust(f, g, hypotheses, mdp_eval, epsilon, eta)
-    if not verdict.robust:
+    tables = _Tables.build(f, g, hypotheses, mdp_eval)
+    if tables.violations(epsilon, eta):
         raise InvalidInstance("precondition unmet: the model pair is not epsilon-robust")
-    ids = hypotheses.ids
-    dist = _pair_distances(mdp_eval, hypotheses)
-    for i, id_1 in enumerate(ids):
-        for id_2 in ids[i + 1 :]:
-            if np.abs(g.policy(id_1) - g.policy(id_2)).max() <= eta:
-                if dist[(id_1, id_2)] > 2.0 * epsilon + DIST_TOL:
-                    return False
-    return True
+    collide = np.triu(_policy_gaps(g, g) <= eta, k=1)
+    return not (tables.dist[collide] > 2.0 * epsilon + DIST_TOL).any()
 
 
 def torus_gridworld(n: int, gamma: float = 0.9, slippery: bool = False) -> TabularMdp:

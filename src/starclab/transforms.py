@@ -4,17 +4,19 @@ Three transformation families act on reward tensors without changing which
 policies are preferred: potential shaping (add ``gamma*phi(s') - phi(s)``),
 successor redistribution (move reward across next states while keeping the
 conditional mean under the transition kernel fixed), and positive scaling.
-Shaping and redistribution together span a linear subspace per environment;
-this module builds explicit bases for it, classifies reward pairs by how they
-differ, composes transformation chains, and constructs "invisible" rewards —
-pure-shaping or pure-redistribution rewards for one environment that remain
-meaningful in another.
+Shaping and redistribution together span a linear subspace per environment.
+This module projects onto it in closed form (``canonical_operator``), also
+builds explicit bases for it (``invariance_basis``, the dense ground truth),
+classifies reward pairs by how they differ, composes transformation chains,
+and constructs "invisible" rewards — pure-shaping or pure-redistribution
+rewards for one environment that remain meaningful in another.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,21 +49,92 @@ def apply_potential_shaping(
     return check_reward(mdp, reward) + shaping_tensor(mdp, phi, discount)
 
 
+@dataclass(frozen=True, eq=False)
+class CanonicalOperator:
+    """Closed-form canonicalization for one environment.
+
+    The orthogonal complement of the redistribution subspace is spanned by
+    the unit transition rows ``u(s,a,.) = tau(s,a,.) / |tau(s,a)|``, so the
+    part of a reward R that can matter has orthonormal coordinates
+    ``y(s,a) = <R(s,a,.), u(s,a,.)>``.  Shaping with potential phi has
+    coordinates ``B phi``, where row (s,a) of ``B`` is
+    ``(gamma*tau(s,a,.) - e_s) / |tau(s,a)|``.  The canonical reward is the
+    component of y orthogonal to B's columns, ``y - Q Q^T y`` with
+    ``B = QT`` (QR), laid back along the unit rows; its norm is the norm of
+    its coordinates.  B has full column rank because gamma < 1, and the
+    potential of the least-squares shaping is ``phi = T^{-1} Q^T y``.
+
+    This is the weighted least-squares problem ``min sum w (m - M phi)^2``
+    (m the conditional-mean reward, ``w = 1/|tau|^2``, ``M = gamma*tau - E``)
+    solved through QR rather than the normal equations, whose squared
+    condition number costs digits at discounts near 1.  Building costs
+    O(S^3 A); applying it costs O(S^2 A) per reward, the size of the reward.
+    """
+
+    units: np.ndarray  # u, (S*A, S)
+    basis: np.ndarray  # Q, (S*A, S)
+    gain: np.ndarray  # T^{-1} Q^T, (S, S*A)
+
+    @classmethod
+    def build(cls, mdp: TabularMdp) -> "CanonicalOperator":
+        n_s, n_a = mdp.n_states, mdp.n_actions
+        rows = mdp.transition.reshape(n_s * n_a, n_s)
+        row_norms = np.linalg.norm(rows, axis=1)[:, None]
+        shaping = (mdp.discount * rows - np.repeat(np.eye(n_s), n_a, axis=0)) / row_norms
+        basis, tri = np.linalg.qr(shaping)
+        arrays = (rows / row_norms, basis, np.linalg.solve(tri, basis.T))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    def _row_coordinates(self, rewards: np.ndarray) -> np.ndarray:
+        return np.einsum("nkt,kt->nk", rewards.reshape((len(rewards),) + self.units.shape), self.units)
+
+    def coordinates(self, rewards: np.ndarray) -> np.ndarray:
+        """Canonical coordinates (n, S*A) of a stack of n rewards (n, S, A, S)."""
+        y = self._row_coordinates(rewards)
+        return y - (y @ self.basis) @ self.basis.T
+
+    def potentials(self, rewards: np.ndarray) -> np.ndarray:
+        """Potentials (n, S) of the least-squares shaping of each reward."""
+        return self._row_coordinates(rewards) @ self.gain.T
+
+    def tensor(self, coords: np.ndarray) -> np.ndarray:
+        """Canonical rewards (n, S, A, S) from their coordinates (n, S*A)."""
+        n_s = self.units.shape[1]
+        return (coords[:, :, None] * self.units).reshape(len(coords), n_s, -1, n_s)
+
+
+_OPERATORS: "weakref.WeakKeyDictionary[TabularMdp, CanonicalOperator]" = weakref.WeakKeyDictionary()
+
+
+def canonical_operator(mdp: TabularMdp) -> CanonicalOperator:
+    """The environment's closed-form canonicalization, built once and kept while the MDP lives."""
+    operator = _OPERATORS.get(mdp)
+    if operator is None:
+        operator = _OPERATORS[mdp] = CanonicalOperator.build(mdp)
+    return operator
+
+
 def apply_redistribution_noise(
     mdp: TabularMdp, reward: np.ndarray, seed: int, magnitude: float
 ) -> np.ndarray:
-    """Add a seeded random zero-conditional-mean tensor of the given 2-norm."""
+    """Add a seeded random zero-conditional-mean tensor of the given 2-norm.
+
+    The tensor is a standard Gaussian with each row's component along
+    ``tau(s, a, .)`` removed, rescaled: an isotropic direction in the
+    redistribution subspace.
+    """
     reward = check_reward(mdp, reward)
     if magnitude < 0:
         raise InvalidInstance("magnitude must be nonnegative")
-    basis = invariance_basis(mdp).redistribution_dirs
-    if magnitude == 0.0 or basis.shape[0] == 0:
+    if magnitude == 0.0 or mdp.n_states == 1:  # one state: only the zero redistribution
         return reward.copy()
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(basis.shape[0])
-    delta = np.tensordot(coeffs, basis, axes=1)
+    units = canonical_operator(mdp).units
+    noise = np.random.default_rng(seed).standard_normal(units.shape)
+    delta = noise - np.einsum("kt,kt->k", noise, units)[:, None] * units
     delta *= magnitude / np.linalg.norm(delta)
-    return reward + delta
+    return reward + delta.reshape(reward.shape)
 
 
 @dataclass(frozen=True)
@@ -116,12 +189,9 @@ def invariance_basis(mdp: TabularMdp) -> InvarianceBasis:
 
 def project_invariant(mdp: TabularMdp, tensor: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a reward-shaped tensor onto the invariance subspace."""
-    basis = invariance_basis(mdp).combined_orthonormal
-    if basis.shape[0] == 0:
-        return np.zeros_like(tensor)
-    flat_basis = basis.reshape(basis.shape[0], -1)
-    coeffs = flat_basis @ np.asarray(tensor, dtype=float).ravel()
-    return (coeffs @ flat_basis).reshape(tensor.shape)
+    tensor = np.asarray(tensor, dtype=float)
+    operator = canonical_operator(mdp)
+    return tensor - operator.tensor(operator.coordinates(tensor[None]))[0]
 
 
 IDENTICAL = "identical"
@@ -138,15 +208,14 @@ def differ_by(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> st
     diff_norm = np.linalg.norm(diff)
     if diff_norm == 0.0:
         return IDENTICAL
-    residual = diff - project_invariant(mdp, diff)
-    if np.linalg.norm(residual) < MEMBERSHIP_TOL * max(1.0, diff_norm):
+    operator = canonical_operator(mdp)
+    coords = operator.coordinates(np.stack([diff, reward_1, reward_2]))
+    residual, n1, n2 = np.linalg.norm(coords, axis=1)
+    if residual < MEMBERSHIP_TOL * max(1.0, diff_norm):
         return SHAPING_AND_REDISTRIBUTION
-    c1 = reward_1 - project_invariant(mdp, reward_1)
-    c2 = reward_2 - project_invariant(mdp, reward_2)
-    n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
     if n1 > 0 and n2 > 0:
         scale = max(1.0, n1, n2)
-        if np.linalg.norm(c1 / n1 - c2 / n2) < MEMBERSHIP_TOL * scale:
+        if np.linalg.norm(coords[1] / n1 - coords[2] / n2) < MEMBERSHIP_TOL * scale:
             return ALSO_POSITIVE_SCALING
     return NEITHER
 
@@ -175,7 +244,7 @@ def invisible_reward_discount(
             "precondition violated: every state's actions share one next-state "
             "distribution, so shaping rewards stay trivial under any discount"
         )
-    mdp_2 = mdp.with_discount(gamma_2)
+    operator = canonical_operator(mdp.with_discount(gamma_2))
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_POTENTIAL_ATTEMPTS):
         if attempt < mdp.n_states:
@@ -184,8 +253,7 @@ def invisible_reward_discount(
         else:
             phi = rng.standard_normal(mdp.n_states)
         candidate = shaping_tensor(mdp, phi, discount=gamma_1)
-        canonical = candidate - project_invariant(mdp_2, candidate)
-        if np.linalg.norm(canonical) > NONTRIVIAL_TOL:
+        if np.linalg.norm(operator.coordinates(candidate[None])) > NONTRIVIAL_TOL:
             return candidate
     raise InvalidInstance(
         f"no potential yielded a non-trivial shaping reward after {MAX_POTENTIAL_ATTEMPTS} attempts"

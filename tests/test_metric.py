@@ -13,7 +13,7 @@ from starclab import (
     standardize,
     starc_distance,
 )
-from starclab.metric import is_trivial
+from starclab.metric import distance_table, is_trivial
 from starclab.transforms import project_invariant
 
 
@@ -94,6 +94,34 @@ class TestDistance:
         assert starc_distance(mdp, r[0], r[0]).distance < 1e-12
         assert d02 <= d01 + d12 + 1e-9
         assert -1e-12 <= d01 <= 1 + 1e-12
+
+
+class TestDistanceTable:
+    def test_matches_pairwise_distances(self):
+        mdp = random_mdp(30, 5, 3)
+        rng = np.random.default_rng(31)
+        base = [rng.standard_normal((5, 3, 5)) for _ in range(4)]
+        rewards = base + [
+            2.0 * apply_potential_shaping(mdp, base[0], rng.standard_normal(5)),
+            -base[1],
+            1e-9 * base[2],
+            np.zeros((5, 3, 5)),
+            np.full((5, 3, 5), 3.0),
+            apply_potential_shaping(mdp, np.zeros((5, 3, 5)), rng.standard_normal(5)),
+        ]
+        table = distance_table(mdp, rewards)
+        pairwise = np.array([[starc_distance(mdp, a, b).distance for b in rewards] for a in rewards])
+        assert table.shape == (10, 10)
+        assert np.abs(table - pairwise).max() <= 1e-12
+        assert np.array_equal(table, table.T)
+        assert not np.diag(table).any()
+        # The last three rewards are trivial: 0.5 from the rest, 0 among themselves.
+        assert np.allclose(table[:7, 7:], 0.5, atol=1e-12)
+        assert np.abs(table[7:, 7:]).max() <= 1e-12
+        assert table[0, 4] < 1e-12
+
+    def test_single_reward(self, mdp_4x3, reward_4x3):
+        assert distance_table(mdp_4x3, [reward_4x3]).tolist() == [[0.0]]
 
 
 class TestRegretGap:

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from starclab import InvalidInstance, random_mdp, random_reward, starc_distance
-from starclab.cli import EXIT_OK, EXIT_VALIDATION, main
+from starclab.cli import EXIT_OK, EXIT_VALIDATION, build_parser, main
 from starclab.mdp import save_mdp, save_reward
 from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
 
@@ -74,6 +75,13 @@ class TestEmitReport:
         emit_report(report, "json", out)
         assert json.loads(out.read_text()) == json.loads(json.dumps(report))
 
+    def test_non_finite_value_rejected_before_writing(self, tmp_path):
+        report = {"schema": "starclab-report-v1", "results": {"epsilon": math.inf, "ids": [1.0, math.nan]}}
+        out = tmp_path / "report.json"
+        with pytest.raises(InvalidInstance, match="results.epsilon"):
+            emit_report(report, "json", out)
+        assert not out.exists()
+
     def test_csv_has_header_and_one_row(self, tmp_path):
         report = run_experiment(
             ExperimentConfig("starc-distance", {"mdp": {"seed": 1}, "reward_1": {"seed": 2}})
@@ -136,6 +144,14 @@ class TestCli:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["certificate"]["distance"] >= 0.99
+
+    def test_unused_tolerance_flags_rejected(self, io_files):
+        _, _, _, paths, _ = io_files
+        args = ["starc", "--mdp", str(paths["mdp"]), "--reward1", str(paths["r1"]), "--reward2", str(paths["r2"])]
+        assert build_parser().parse_args(args).command == "starc"
+        for flag in ("--tol-dp", "--tol-policy"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(args + [flag, "1e-6"])
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -91,6 +91,97 @@ class TestChecker:
         assert data["robust"] is True and data["violations"] == []
 
 
+def _loop_reference(f, g, hyp, mdp, epsilon, eta=1e-6):
+    """The four conditions, the tightest epsilon and the lemma, as plain loops
+    over pairwise starc_distance calls: the reference for the vectorized checker."""
+    ids = hyp.ids
+    dist = {(a, b): starc_distance(mdp, hyp.reward(a), hyp.reward(b)).distance for a in ids for b in ids}
+
+    def gap(p, q):
+        return float(np.abs(p - q).max())
+
+    violations = []
+    for a in ids:
+        for b in ids:
+            if gap(f.policy(a), g.policy(b)) <= eta and dist[a, b] > epsilon + 1e-8:
+                violations.append({"condition": 1, "ids": [a, b], "distance": dist[a, b]})
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if gap(f.policy(a), f.policy(b)) <= eta and dist[a, b] > epsilon + 1e-8:
+                violations.append({"condition": 2, "ids": [a, b], "distance": dist[a, b]})
+    for b in ids:
+        best = min(gap(g.policy(b), f.policy(a)) for a in ids)
+        if best > eta:
+            violations.append({"condition": 3, "ids": [b], "policy_gap": best})
+    max_fg_gap = max(gap(f.policy(a), g.policy(a)) for a in ids)
+    if max_fg_gap <= eta:
+        violations.append({"condition": 4, "ids": [], "policy_gap": max_fg_gap})
+
+    if any(v["condition"] in (3, 4) for v in violations):
+        eps_star = math.inf
+    else:
+        eps_star = max(
+            dist[a, b]
+            for a in ids
+            for b in ids
+            if gap(f.policy(a), g.policy(b)) <= eta or gap(f.policy(a), f.policy(b)) <= eta
+        )
+    lemma = None
+    if not violations:
+        lemma = all(
+            dist[a, b] <= 2.0 * epsilon + 1e-8
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+            if gap(g.policy(a), g.policy(b)) <= eta
+        )
+    return violations, eps_star, lemma
+
+
+def _random_tables(seed):
+    """Hypotheses and f/g tables drawn from a small policy pool, so collisions are common."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(seed, 3, 2)
+    n = int(rng.integers(2, 7))
+    ids = [f"r{k}" for k in range(n)]
+    rewards = [rng.standard_normal((3, 2, 3)) for _ in ids]
+    rewards[-1] = rewards[0] * 2.0  # an order-equivalent pair, distance 0
+    pool = [rng.dirichlet(np.ones(2), size=3) for _ in range(4)]
+    f_pick = rng.integers(0, 3, size=n)
+    f = ModelTable(tuple((rid, pool[k] + 1e-9 * rng.random()) for rid, k in zip(ids, f_pick)))
+    if rng.random() < 0.2:
+        g = f  # condition 4
+    else:  # pool[3] is never an f-policy: condition 3 when g uses it
+        g = ModelTable(tuple((rid, pool[k]) for rid, k in zip(ids, rng.integers(0, 4, size=n))))
+    epsilon = float(rng.choice([0.0, 0.2, 0.5, 1.0]))
+    return HypothesisSet(tuple(zip(ids, rewards))), f, g, mdp, epsilon
+
+
+class TestVectorizedChecker:
+    def test_matches_loop_reference(self):
+        seen = set()
+        for seed in range(150):
+            hyp, f, g, mdp, epsilon = _random_tables(seed)
+            violations, eps_star, lemma = _loop_reference(f, g, hyp, mdp, epsilon)
+            verdict = check_epsilon_robust(f, g, hyp, mdp, epsilon)
+            assert [(v["condition"], v["ids"]) for v in verdict.violations] == [
+                (v["condition"], v["ids"]) for v in violations
+            ]
+            for got, want in zip(verdict.violations, violations):
+                for key in ("distance", "policy_gap"):
+                    if key in want:
+                        assert got[key] == pytest.approx(want[key], abs=1e-12)
+            assert verdict.robust == (not violations)
+            assert min_robust_epsilon(f, g, hyp, mdp) == pytest.approx(eps_star, abs=1e-12)
+            if lemma is None:
+                with pytest.raises(InvalidInstance, match="precondition"):
+                    two_epsilon_lemma_check(f, g, hyp, mdp, epsilon)
+            else:
+                assert two_epsilon_lemma_check(f, g, hyp, mdp, epsilon) == lemma
+            seen.update(v["condition"] for v in violations)
+            seen.add("robust" if not violations else "not robust")
+        assert seen == {1, 2, 3, 4, "robust", "not robust"}
+
+
 class TestMinRobustEpsilon:
     def test_g_equals_f_infinite(self, mdp_4x3):
         hyp, f, _ = _swap_tables(mdp_4x3)
@@ -124,18 +215,19 @@ class TestTwoEpsilonLemma:
 
     def test_detects_synthetic_violation(self, mdp_4x3, monkeypatch):
         # A genuine metric can never produce a robust verdict whose g-collisions
-        # exceed 2*eps (triangle inequality), so break the metric on purpose to
-        # confirm the check would notice.
-        hyp, f, _ = _swap_tables(mdp_4x3)
-        g_colliding = ModelTable((("x", f.policy("x")), ("x2", f.policy("x"))))
-        zeros = {("x", "x"): 0.0, ("x2", "x2"): 0.0, ("x", "x2"): 0.0, ("x2", "x"): 0.0}
-        inflated = {**zeros, ("x", "x2"): 0.7, ("x2", "x"): 0.7}
-        # The checker (first lookup) sees zero distances, so the verdict is
-        # robust; the lemma's own lookup then sees 0.7 > 2 * 0.3 on the g-g
-        # collision between x and x2 and must return False.
-        tables = iter([zeros, inflated])
-        monkeypatch.setattr(robustness_module, "_pair_distances", lambda *_: next(tables))
-        assert not two_epsilon_lemma_check(f, g_colliding, hyp, mdp_4x3, epsilon=0.3)
+        # exceed 2*eps (triangle inequality), so break the metric on purpose:
+        # x and y both lie within eps = 0.3 of z, yet 0.7 > 2 * 0.3 apart.
+        rewards = tuple((rid, random_reward(63 + k, 4, 3)) for k, rid in enumerate("xyz"))
+        hyp = HypothesisSet(rewards)
+        f = materialize_model(BehavioralModelSpec("boltzmann", mdp_4x3, beta=1.0), list(rewards))
+        # g sends x and y to f(z), and z to f(x): every f/g collision joins
+        # rewards 0.3 apart, so the checker finds the pair robust, and the
+        # lemma must notice the g-g collision between x and y.
+        g = ModelTable((("x", f.policy("z")), ("y", f.policy("z")), ("z", f.policy("x"))))
+        broken = np.array([[0.0, 0.7, 0.3], [0.7, 0.0, 0.3], [0.3, 0.3, 0.0]])
+        monkeypatch.setattr(robustness_module, "_pair_distances", lambda *_: broken)
+        assert check_epsilon_robust(f, g, hyp, mdp_4x3, epsilon=0.3).robust
+        assert not two_epsilon_lemma_check(f, g, hyp, mdp_4x3, epsilon=0.3)
 
 
 class TestTransformationBound:

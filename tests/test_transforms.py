@@ -1,6 +1,11 @@
+import gc
+import time
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starclab import (
@@ -12,9 +17,11 @@ from starclab import (
     differ_by,
     invariance_basis,
     invisible_reward_discount,
+    canonical_operator,
     invisible_reward_transition,
     mce_policy,
     policy_return,
+    project_invariant,
     random_mdp,
     random_reward,
     same_order_oracle,
@@ -22,6 +29,7 @@ from starclab import (
     three_state_chain,
 )
 from starclab.mdp import expected_reward
+from starclab.oracles import dense_invariant_projection
 from starclab.transforms import (
     Nudge,
     Redistribution,
@@ -107,6 +115,66 @@ class TestInvarianceBasis:
         flat = combined.reshape(combined.shape[0], -1)
         gram = flat @ flat.T
         assert np.abs(gram - np.eye(len(flat))).max() < 1e-9
+
+
+class TestCanonicalOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.sampled_from([0.1, 1.0]),
+        st.sampled_from([0.5, 0.9, 0.99]),
+        st.floats(-12.0, 12.0),
+        st.integers(0, 10_000),
+    )
+    @example(1, 1, 1.0, 0.9, 0.0, 0)
+    @example(1, 3, 1.0, 0.99, -12.0, 1)
+    @example(12, 3, 0.1, 0.99, 12.0, 2)
+    def test_closed_form_matches_dense_projection(self, n_s, n_a, conc, gamma, exponent, seed):
+        mdp = random_mdp(seed, n_s, n_a, concentration=conc, discount=gamma)
+        tensor = 10.0**exponent * random_reward(seed + 1, n_s, n_a)
+        try:
+            dense = dense_invariant_projection(mdp, tensor)
+        finally:
+            invariance_basis.cache_clear()
+        closed = project_invariant(mdp, tensor)
+        assert np.linalg.norm(closed - dense) <= 1e-12 * np.linalg.norm(tensor)
+
+    def test_cached_per_mdp_and_freed_with_it(self):
+        mdp = random_mdp(8, 5, 2)
+        operator = canonical_operator(mdp)
+        assert canonical_operator(mdp) is operator
+        assert canonical_operator(mdp.with_discount(0.5)) is not operator
+        freed = weakref.ref(operator)
+        del mdp, operator
+        gc.collect()
+        assert freed() is None
+
+    def test_large_mdp_invariances(self):
+        mdp = random_mdp(9, 300, 4)
+        reward = random_reward(10, 300, 4)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            canonical = reward - project_invariant(mdp, reward)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The operator build plus one projection; the dense basis would need
+        # terabytes here.
+        assert time.perf_counter() - start < 10.0
+        assert peak < 200e6
+        assert np.linalg.norm(project_invariant(mdp, canonical)) <= 1e-10 * np.linalg.norm(canonical)
+        moved = apply_potential_shaping(mdp, reward, np.random.default_rng(11).standard_normal(300))
+        moved = 2.0 * apply_redistribution_noise(mdp, moved, seed=12, magnitude=5.0)
+        assert starc_distance(mdp, reward, moved).distance < 1e-8
+        assert starc_distance(mdp, reward, 3.0 * reward).distance == pytest.approx(0.0, abs=1e-12)
+        assert starc_distance(mdp, reward, -reward).distance == pytest.approx(1.0, abs=1e-12)
+
+    def test_redistribution_noise_single_state_is_identity(self, one_state_mdp):
+        mdp = one_state_mdp(3)
+        reward = np.array([[[1.0], [2.0], [3.0]]])
+        assert np.array_equal(apply_redistribution_noise(mdp, reward, seed=0, magnitude=1.0), reward)
 
 
 class TestDifferBy:

@@ -1,11 +1,11 @@
 """Release acceptance suite: twelve self-contained checks with pass/fail lines.
 
 Each criterion function returns a dict with ``name``, ``passed``, and
-``details``.  ``run_all`` executes them in order and prints one line per
-criterion.  Check 9 is expected to fail: its nudge-size bound
-``sin(2*arcsin(eps/2))`` is strictly smaller than the smallest nudge any
-decomposition can use at distance ``eps`` (see the README), and we report
-that honestly rather than loosening the bound.
+``details``.  ``run_all`` executes them in order, adds each one's wall time
+as ``elapsed_s``, and prints one line per criterion.  Check 9 is expected to
+fail: its nudge-size bound ``sin(2*arcsin(eps/2))`` is strictly smaller than
+the smallest nudge any decomposition can use at distance ``eps`` (see the
+README), and we report that honestly rather than loosening the bound.
 """
 
 from __future__ import annotations
@@ -467,10 +467,18 @@ CRITERIA = [
 ]
 
 
+def run_criterion(fn) -> dict:
+    """Run one criterion and add its wall time to the result as ``elapsed_s``."""
+    start = time.perf_counter()
+    result = fn()
+    result["elapsed_s"] = time.perf_counter() - start
+    return result
+
+
 def run_all(echo=print) -> list[dict]:
     results = []
     for i, fn in enumerate(CRITERIA, start=1):
-        result = fn()
+        result = run_criterion(fn)
         results.append(result)
         status = "PASS" if result["passed"] else "FAIL"
         echo(f"[{status}] criterion {i:2d}: {result['name']} — {result['details']}")

@@ -188,7 +188,15 @@ def main(argv: list[str] | None = None) -> int:
             emit_report(report, args.format, args.out)
         else:
             print(report_json(report))
-    except (OSError, InvalidInstance) as exc:
+    except InvalidInstance as exc:
+        # CSV cannot hold this kind's list fields: the format is the wrong
+        # choice.  JSON cannot hold a non-finite result: the pipeline's fault.
+        if args.out and args.format == "csv":
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        print(f"pipeline error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
+    except OSError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     return EXIT_OK

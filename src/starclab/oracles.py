@@ -11,7 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import ConvergenceError, InvalidInstance, TabularMdp, check_reward, policy_return
+from .mdp import (
+    DEFAULT_DP_TOL,
+    ConvergenceError,
+    InvalidInstance,
+    TabularMdp,
+    check_reward,
+    expected_reward,
+)
 from .transforms import invariance_basis
 
 DEFAULT_CAP = 4096
@@ -42,27 +49,47 @@ def deterministic_policy(mdp: TabularMdp, index: int) -> np.ndarray:
     return policy
 
 
+def _deterministic_policies(mdp: TabularMdp, size: int) -> np.ndarray:
+    """The first ``size`` deterministic policies, (size, S, A), in ``deterministic_policy`` order."""
+    digits = mdp.n_actions ** np.arange(mdp.n_states)
+    actions = (np.arange(size)[:, None] // digits) % mdp.n_actions
+    return np.eye(mdp.n_actions)[actions]
+
+
 def enumerate_deterministic_policies(mdp: TabularMdp, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
-    size = _policy_space_size(mdp, cap)
-    return [deterministic_policy(mdp, i) for i in range(size)]
+    return list(_deterministic_policies(mdp, _policy_space_size(mdp, cap)))
 
 
-def _deterministic_returns(mdp: TabularMdp, reward: np.ndarray, cap: int) -> np.ndarray:
-    size = _policy_space_size(mdp, cap)
-    er = np.einsum("sat,sat->sa", mdp.transition, reward)
-    eye = np.eye(mdp.n_states)
-    returns = np.empty(size)
-    for i in range(size):
-        actions = np.empty(mdp.n_states, dtype=int)
-        idx = i
-        for s in range(mdp.n_states):
-            actions[s] = idx % mdp.n_actions
-            idx //= mdp.n_actions
-        p_pi = mdp.transition[np.arange(mdp.n_states), actions]
-        r_pi = er[np.arange(mdp.n_states), actions]
-        v = np.linalg.solve(eye - mdp.discount * p_pi, r_pi)
-        returns[i] = mdp.initial_dist @ v
-    return returns
+def _stacked_returns(
+    mdp: TabularMdp, policies: np.ndarray, expected: np.ndarray, tol: float | None = None
+) -> np.ndarray:
+    """Returns of N policies under k rewards, from one solve over the stack.
+
+    ``policies`` is (N, S, A) and ``expected`` holds the k rewards' expected
+    rewards, (k, S, A); the result is (k, N).  With ``tol``, a Bellman
+    residual above it for any policy raises ConvergenceError, the check that
+    ``policy_evaluation`` makes.
+    """
+    p_pi = np.einsum("nsa,sat->nst", policies, mdp.transition)
+    r_pi = np.einsum("nsa,ksa->nsk", policies, expected)
+    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
+    if tol is not None:
+        resid = np.abs(r_pi + mdp.discount * (p_pi @ v) - v).max()
+        if resid > tol:
+            raise ConvergenceError(
+                f"policy evaluation residual {resid:g} exceeds tolerance {tol:g}", residual=resid
+            )
+    return np.einsum("s,nsk->kn", mdp.initial_dist, v)
+
+
+def _deterministic_returns(mdp: TabularMdp, expected: np.ndarray, cap: int) -> np.ndarray:
+    """(k, A^S) returns of every deterministic policy under k expected rewards."""
+    policies = _deterministic_policies(mdp, _policy_space_size(mdp, cap))
+    return _stacked_returns(mdp, policies, expected)
+
+
+def _expected_rewards(mdp: TabularMdp, *rewards: np.ndarray) -> np.ndarray:
+    return np.stack([expected_reward(mdp, check_reward(mdp, reward)) for reward in rewards])
 
 
 def _signs(diffs: np.ndarray, band: float = SIGN_BAND) -> np.ndarray:
@@ -82,26 +109,22 @@ def same_order_oracle(
 
     Checks all enumerated deterministic policy pairs plus 200 seeded random
     stochastic pairs; return differences within a 1e-10 band count as ties.
+    Each policy set is evaluated under both rewards in one stacked solve.
     """
-    reward_1 = check_reward(mdp, reward_1)
-    reward_2 = check_reward(mdp, reward_2)
-    j1 = _deterministic_returns(mdp, reward_1, cap)
-    j2 = _deterministic_returns(mdp, reward_2, cap)
+    expected = _expected_rewards(mdp, reward_1, reward_2)
+    j1, j2 = _deterministic_returns(mdp, expected, cap)
     chunk = 256
     for start in range(0, len(j1), chunk):
         d1 = j1[start : start + chunk, None] - j1[None, :]
         d2 = j2[start : start + chunk, None] - j2[None, :]
         if (_signs(d1) != _signs(d2)).any():
             return False
+    # Pair i is (policies[2i], policies[2i + 1]): the draws of a per-pair loop.
     rng = np.random.default_rng(seed)
-    for _ in range(N_STOCHASTIC_PAIRS):
-        pol_a = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
-        pol_b = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
-        d1 = policy_return(mdp, reward_1, pol_a) - policy_return(mdp, reward_1, pol_b)
-        d2 = policy_return(mdp, reward_2, pol_a) - policy_return(mdp, reward_2, pol_b)
-        if _signs(np.array([d1]))[0] != _signs(np.array([d2]))[0]:
-            return False
-    return True
+    policies = rng.dirichlet(np.ones(mdp.n_actions), size=(2 * N_STOCHASTIC_PAIRS, mdp.n_states))
+    returns = _stacked_returns(mdp, policies, expected, tol=DEFAULT_DP_TOL)
+    d1, d2 = returns[:, 0::2] - returns[:, 1::2]
+    return bool((_signs(d1) == _signs(d2)).all())
 
 
 def value_iteration_oracle(
@@ -177,6 +200,30 @@ def monte_carlo_return(
     return estimate, stderr
 
 
+def _regret_witness(j1: np.ndarray, j2: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """Largest J1(i) - J1(k) over index pairs with J2(k) >= J2(i), and its pair.
+
+    Returns (0, None) when no pair has a positive gap.  Ties go to the
+    smallest i, and then to the k that comes first in stable J2 order.
+    """
+    # Sort by J2 ascending; for each i, the eligible k form a suffix.
+    order = np.argsort(j2, kind="stable")
+    j2_sorted = j2[order]
+    j1_sorted = j1[order]
+    suffix_min = np.minimum.accumulate(j1_sorted[::-1])[::-1]
+    # The leftmost arg-min of a suffix is the first position at or after its
+    # start whose value is the minimum of its own suffix.
+    n = len(j1)
+    records = np.where(j1_sorted == suffix_min, np.arange(n), n)
+    suffix_argmin = np.minimum.accumulate(records[::-1])[::-1]
+    lo = np.searchsorted(j2_sorted, j2, side="left")
+    gaps = j1 - suffix_min[lo]
+    i = int(np.argmax(gaps))
+    if not gaps[i] > 0.0:
+        return 0.0, None
+    return float(gaps[i]), (i, int(order[suffix_argmin[lo[i]]]))
+
+
 def regret_witness_search(
     mdp: TabularMdp,
     reward_1: np.ndarray,
@@ -189,32 +236,11 @@ def regret_witness_search(
     maximizing (J1(pi_1) - J1(pi_2)) / (max J1 - min J1).  Returns (0, None)
     when reward 1's deterministic return range is below 1e-12.
     """
-    j1 = _deterministic_returns(mdp, check_reward(mdp, reward_1), cap)
-    j2 = _deterministic_returns(mdp, check_reward(mdp, reward_2), cap)
+    j1, j2 = _deterministic_returns(mdp, _expected_rewards(mdp, reward_1, reward_2), cap)
     j1_range = j1.max() - j1.min()
     if j1_range < 1e-12:
         return 0.0, None
-    # Sort by J2 ascending; for each pi_1, the eligible pi_2 form a suffix.
-    order = np.argsort(j2, kind="stable")
-    j2_sorted = j2[order]
-    j1_sorted = j1[order]
-    suffix_min = np.minimum.accumulate(j1_sorted[::-1])[::-1]
-    suffix_argmin = np.empty(len(j1), dtype=int)
-    best_idx = len(j1) - 1
-    best_val = j1_sorted[-1]
-    for i in range(len(j1) - 1, -1, -1):
-        if j1_sorted[i] <= best_val:
-            best_val = j1_sorted[i]
-            best_idx = i
-        suffix_argmin[i] = best_idx
-    best_regret = 0.0
-    best_pair = None
-    for i in range(len(j1)):
-        lo = np.searchsorted(j2_sorted, j2[i], side="left")
-        gap = j1[i] - suffix_min[lo]
-        if gap > best_regret:
-            best_regret = gap
-            best_pair = (int(i), int(order[suffix_argmin[lo]]))
+    best_regret, best_pair = _regret_witness(j1, j2)
     if best_pair is None:
         # pi_2 = pi_1 is always eligible, so zero regret is attainable.
         top = int(np.argmax(j1))

@@ -172,10 +172,15 @@ def strip_timings(report: dict) -> dict:
 
 
 def _flatten_scalars(prefix: str, obj, out: dict) -> None:
+    """Flatten nested dicts into ``out`` under dotted names; a list raises InvalidInstance."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten_scalars(f"{prefix}.{k}" if prefix else k, v, out)
-    elif isinstance(obj, (int, float, str, bool)) or obj is None:
+    elif isinstance(obj, (list, tuple)):
+        raise InvalidInstance(
+            f"report field {prefix} is a list, which one CSV row cannot hold; use JSON"
+        )
+    else:
         out[prefix] = obj
 
 
@@ -214,7 +219,7 @@ def emit_report(report: dict, fmt: str, path) -> None:
             fh.write(text)
     elif fmt == "csv":
         flat: dict = {}
-        _flatten_scalars("", report, flat)
+        _flatten_scalars("", report, flat)  # before opening, so a list field leaves no file
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(flat.keys())

@@ -260,10 +260,13 @@ def _split_invariant(mdp: TabularMdp, tensor: np.ndarray) -> tuple[np.ndarray, n
 
     phi is the potential of the closed-form canonicalization (the shaping
     whose conditional mean matches the tensor's), and delta is the
-    remainder, which then has zero conditional mean.
+    remainder, which then has zero conditional mean.  The remainder's
+    component along each transition row is roundoff of the tensor's size,
+    not of delta's, so it is removed.
     """
-    phi = canonical_operator(mdp).potentials(tensor[None])[0]
-    return phi, tensor - shaping_tensor(mdp, phi)
+    operator = canonical_operator(mdp)
+    phi = operator.potentials(tensor[None])[0]
+    return phi, operator.redistribution_part((tensor - shaping_tensor(mdp, phi))[None])[0]
 
 
 def decompose_transformation(

@@ -104,6 +104,10 @@ class CanonicalOperator:
         n_s = self.units.shape[1]
         return (coords[:, :, None] * self.units).reshape(len(coords), n_s, -1, n_s)
 
+    def redistribution_part(self, rewards: np.ndarray) -> np.ndarray:
+        """Each reward (n, S, A, S) minus its component along every transition row."""
+        return rewards - self.tensor(self._row_coordinates(rewards))
+
 
 _OPERATORS: "weakref.WeakKeyDictionary[TabularMdp, CanonicalOperator]" = weakref.WeakKeyDictionary()
 
@@ -130,11 +134,9 @@ def apply_redistribution_noise(
         raise InvalidInstance("magnitude must be nonnegative")
     if magnitude == 0.0 or mdp.n_states == 1:  # one state: only the zero redistribution
         return reward.copy()
-    units = canonical_operator(mdp).units
-    noise = np.random.default_rng(seed).standard_normal(units.shape)
-    delta = noise - np.einsum("kt,kt->k", noise, units)[:, None] * units
-    delta *= magnitude / np.linalg.norm(delta)
-    return reward + delta.reshape(reward.shape)
+    noise = np.random.default_rng(seed).standard_normal(reward.shape)
+    delta = canonical_operator(mdp).redistribution_part(noise[None])[0]
+    return reward + (magnitude / np.linalg.norm(delta)) * delta
 
 
 @dataclass(frozen=True)
@@ -355,9 +357,11 @@ def apply_step(mdp: TabularMdp, reward: np.ndarray, step: TransformStep) -> np.n
     if isinstance(step, Redistribution):
         delta = check_reward(mdp, step.delta)
         cond_mean = np.abs(expected_reward(mdp, delta)).max()
-        if cond_mean > SUBSPACE_TOL:
+        # Relative to the step, so roundoff in a large step is not a violation.
+        bound = SUBSPACE_TOL * max(1.0, np.abs(delta).max())
+        if cond_mean > bound:
             raise InvalidInstance(
-                f"redistribution step has conditional mean {cond_mean:g} > {SUBSPACE_TOL:g}"
+                f"redistribution step has conditional mean {cond_mean:g} > {bound:g}"
             )
         return reward + delta
     if isinstance(step, Scale):

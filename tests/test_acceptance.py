@@ -82,3 +82,11 @@ def test_criterion_11_optimality_witness():
 def test_criterion_12_soundness_zero_case():
     result = _run(12)
     assert result["passed"], result["details"]
+
+
+def test_run_criterion_records_elapsed_seconds():
+    # The wrapper run_all uses; criterion 2 is cheap.
+    result = acceptance.run_criterion(acceptance.criterion_2)
+    assert isinstance(result["elapsed_s"], float)
+    assert 0.0 <= result["elapsed_s"] < 60.0
+    assert result["passed"]

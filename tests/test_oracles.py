@@ -12,7 +12,110 @@ from starclab import (
     same_order_oracle,
     starc_distance,
 )
+from starclab import oracles
+from starclab.mdp import DEFAULT_DP_TOL, ConvergenceError, TabularMdp, check_reward
 from starclab.oracles import EnumerationCapExceeded
+
+
+def _reference_deterministic_returns(mdp, reward, cap):
+    """The per-policy loop the stacked solve replaced, kept as the reference."""
+    size = oracles._policy_space_size(mdp, cap)
+    er = np.einsum("sat,sat->sa", mdp.transition, reward)
+    eye = np.eye(mdp.n_states)
+    returns = np.empty(size)
+    for i in range(size):
+        actions = np.empty(mdp.n_states, dtype=int)
+        idx = i
+        for s in range(mdp.n_states):
+            actions[s] = idx % mdp.n_actions
+            idx //= mdp.n_actions
+        p_pi = mdp.transition[np.arange(mdp.n_states), actions]
+        r_pi = er[np.arange(mdp.n_states), actions]
+        v = np.linalg.solve(eye - mdp.discount * p_pi, r_pi)
+        returns[i] = mdp.initial_dist @ v
+    return returns
+
+
+def _reference_same_order(mdp, reward_1, reward_2, cap=oracles.DEFAULT_CAP, seed=0):
+    """The per-pair ``same_order_oracle`` that the batched one replaced."""
+    reward_1 = check_reward(mdp, reward_1)
+    reward_2 = check_reward(mdp, reward_2)
+    j1 = _reference_deterministic_returns(mdp, reward_1, cap)
+    j2 = _reference_deterministic_returns(mdp, reward_2, cap)
+    chunk = 256
+    for start in range(0, len(j1), chunk):
+        d1 = j1[start : start + chunk, None] - j1[None, :]
+        d2 = j2[start : start + chunk, None] - j2[None, :]
+        if (oracles._signs(d1) != oracles._signs(d2)).any():
+            return False
+    rng = np.random.default_rng(seed)
+    for _ in range(oracles.N_STOCHASTIC_PAIRS):
+        pol_a = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+        pol_b = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+        d1 = policy_return(mdp, reward_1, pol_a) - policy_return(mdp, reward_1, pol_b)
+        d2 = policy_return(mdp, reward_2, pol_a) - policy_return(mdp, reward_2, pol_b)
+        if oracles._signs(np.array([d1]))[0] != oracles._signs(np.array([d2]))[0]:
+            return False
+    return True
+
+
+def _reference_regret_witness(j1, j2):
+    """The loop form of the regret search that ``oracles._regret_witness`` replaced."""
+    order = np.argsort(j2, kind="stable")
+    j2_sorted = j2[order]
+    j1_sorted = j1[order]
+    suffix_min = np.minimum.accumulate(j1_sorted[::-1])[::-1]
+    suffix_argmin = np.empty(len(j1), dtype=int)
+    best_idx = len(j1) - 1
+    best_val = j1_sorted[-1]
+    for i in range(len(j1) - 1, -1, -1):
+        if j1_sorted[i] <= best_val:
+            best_val = j1_sorted[i]
+            best_idx = i
+        suffix_argmin[i] = best_idx
+    best_regret = 0.0
+    best_pair = None
+    for i in range(len(j1)):
+        lo = np.searchsorted(j2_sorted, j2[i], side="left")
+        gap = j1[i] - suffix_min[lo]
+        if gap > best_regret:
+            best_regret = gap
+            best_pair = (int(i), int(order[suffix_argmin[lo]]))
+    return best_regret, best_pair
+
+
+def _copy_first_action(mdp, *rewards):
+    """The MDP and rewards with the last action a copy of the first, so returns tie exactly."""
+    transition = mdp.transition.copy()
+    transition[:, -1] = transition[:, 0]
+    for reward in rewards:
+        reward[:, -1] = reward[:, 0]
+    return TabularMdp(transition=transition, initial_dist=mdp.initial_dist, discount=mdp.discount)
+
+
+def _oracle_cases():
+    """(mdp, reward_1, reward_2, seed): equivalent, negated, near-equivalent and tied pairs."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(220):
+        n_s, n_a = 1 + i % 6, 1 + (i // 6) % 3
+        mdp = random_mdp(7000 + i, n_s, n_a, discount=(0.5, 0.9, 0.99)[i % 3])
+        reward = rng.standard_normal((n_s, n_a, n_s))
+        shaped = rng.uniform(0.2, 5.0) * apply_potential_shaping(mdp, reward, rng.standard_normal(n_s))
+        kind = i % 5
+        if kind == 0:
+            other = shaped
+        elif kind == 1:
+            other = -reward
+        elif kind == 2:
+            other = shaped + 1e-3 * rng.standard_normal(reward.shape)
+        elif kind == 3:
+            reward = np.full(reward.shape, rng.standard_normal())
+            other = np.full(reward.shape, rng.uniform(-2.0, 2.0)) if i % 2 else shaped
+        else:
+            other = rng.standard_normal(reward.shape)
+        cases.append((mdp, reward, other, i))
+    return cases
 
 
 class TestEnumeration:
@@ -55,6 +158,95 @@ class TestSameOrder:
             )
             d = starc_distance(mdp, r_1, r_2).distance
             assert (d < 1e-8) == same_order_oracle(mdp, r_1, r_2, seed=i)
+
+
+class TestBatchedOracles:
+    def test_same_order_matches_per_policy_loop(self):
+        cases = _oracle_cases()
+        verdicts = []
+        for mdp, r_1, r_2, seed in cases:
+            verdict = same_order_oracle(mdp, r_1, r_2, seed=seed)
+            assert verdict == _reference_same_order(mdp, r_1, r_2, seed=seed), (mdp.n_states, mdp.n_actions, seed)
+            verdicts.append(verdict)
+        assert len(cases) >= 200
+        assert 40 <= sum(verdicts) <= len(cases) - 40  # both verdicts well represented
+
+    def test_deterministic_returns_match_policy_return(self):
+        for i in range(30):
+            n_s, n_a = 1 + i % 5, 1 + i % 3
+            mdp = random_mdp(900 + i, n_s, n_a, discount=0.95)
+            rewards = [random_reward(950 + i, n_s, n_a), 1e3 * random_reward(990 + i, n_s, n_a)]
+            expected = np.stack([np.einsum("sat,sat->sa", mdp.transition, r) for r in rewards])
+            batched = oracles._deterministic_returns(mdp, expected, oracles.DEFAULT_CAP)
+            policies = enumerate_deterministic_policies(mdp)
+            assert batched.shape == (2, len(policies))
+            for k, reward in enumerate(rewards):
+                looped = np.array([policy_return(mdp, reward, p) for p in policies])
+                assert np.abs(batched[k] - looped).max() <= 1e-12 * np.abs(looped).max()
+
+    def test_policy_stack_matches_decoder(self):
+        mdp = random_mdp(3, 4, 3)
+        stack = oracles._deterministic_policies(mdp, 3**4)
+        for index in (0, 1, 2, 3, 40, 80):
+            assert np.array_equal(stack[index], oracles.deterministic_policy(mdp, index))
+
+    def test_stochastic_stream_matches_per_pair_draws(self, monkeypatch):
+        seen, compared = [], []
+        stacked, signs = oracles._stacked_returns, oracles._signs
+
+        def spy_returns(mdp, policies, expected, tol=None):
+            seen.append(policies)
+            return stacked(mdp, policies, expected, tol)
+
+        def spy_signs(diffs):
+            compared.append(diffs)
+            return signs(diffs)
+
+        monkeypatch.setattr(oracles, "_stacked_returns", spy_returns)
+        monkeypatch.setattr(oracles, "_signs", spy_signs)
+        mdp = random_mdp(21, 3, 3)
+        reward = random_reward(22, 3, 3)
+        assert same_order_oracle(mdp, reward, 2.0 * reward, seed=17)
+        rng = np.random.default_rng(17)
+        draws, diffs = [], []
+        for _ in range(oracles.N_STOCHASTIC_PAIRS):
+            pol_a = rng.dirichlet(np.ones(3), size=3)
+            pol_b = rng.dirichlet(np.ones(3), size=3)
+            draws += [pol_a, pol_b]
+            diffs.append(policy_return(mdp, reward, pol_a) - policy_return(mdp, reward, pol_b))
+        assert np.array_equal(seen[-1], np.stack(draws))
+        # The reward-1 differences compared are those of the per-pair draws, pair by pair.
+        assert np.abs(compared[-2] - np.array(diffs)).max() < 1e-12
+
+    def test_forced_residual_failure_raises(self, monkeypatch):
+        mdp = random_mdp(31, 3, 2)
+        reward = random_reward(32, 3, 2)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+        with pytest.raises(ConvergenceError) as info:
+            same_order_oracle(mdp, reward, 2.0 * reward)
+        assert info.value.residual > DEFAULT_DP_TOL
+
+    def test_regret_witness_matches_loop(self):
+        rng = np.random.default_rng(5)
+        instances = []
+        for i in range(60):
+            n_s, n_a = 1 + i % 5, 1 + i % 3
+            mdp = random_mdp(400 + i, n_s, n_a)
+            r_1 = rng.standard_normal((n_s, n_a, n_s))
+            r_2 = -r_1 if i % 3 == 0 else rng.standard_normal((n_s, n_a, n_s))
+            if i % 2:
+                mdp = _copy_first_action(mdp, r_1, r_2)
+            expected = np.stack([np.einsum("sat,sat->sa", mdp.transition, r) for r in (r_1, r_2)])
+            instances.append(oracles._deterministic_returns(mdp, expected, oracles.DEFAULT_CAP))
+        for _ in range(60):
+            size = int(rng.integers(1, 40))  # small integer returns: many exact ties
+            instances.append(rng.integers(-3, 4, size=(2, size)).astype(float))
+        for j1, j2 in instances:
+            regret, pair = oracles._regret_witness(j1, j2)
+            ref_regret, ref_pair = _reference_regret_witness(j1, j2)
+            assert regret == ref_regret
+            assert pair == ref_pair
 
 
 class TestMonteCarlo:

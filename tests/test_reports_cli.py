@@ -92,6 +92,13 @@ class TestEmitReport:
         assert len(lines) == 2
         assert "results.distance" in lines[0]
 
+    def test_csv_rejects_list_field_before_writing(self, tmp_path):
+        report = run_experiment(ExperimentConfig("models-eval", {"mdp": {"seed": 1}}))
+        out = tmp_path / "report.csv"
+        with pytest.raises(InvalidInstance, match="results.policy"):
+            emit_report(report, "csv", out)
+        assert not out.exists()
+
 
 class TestCli:
     def test_starc_matches_library(self, io_files, capsys):
@@ -152,6 +159,17 @@ class TestCli:
         for flag in ("--tol-dp", "--tol-policy"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(args + [flag, "1e-6"])
+
+    def test_csv_of_list_report_exits_validation(self, io_files, capsys):
+        _, _, _, paths, tmp = io_files
+        out = tmp / "policy.csv"
+        rc = main(
+            ["models", "eval", "--mdp", str(paths["mdp"]), "--reward", str(paths["r1"]),
+             "--format", "csv", "--out", str(out)]
+        )
+        assert rc == EXIT_VALIDATION
+        assert "results.policy" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

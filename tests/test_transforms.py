@@ -299,6 +299,25 @@ class TestTransformChain:
         with pytest.raises(InvalidInstance, match="conditional mean"):
             apply_chain(mdp_4x3, reward_4x3, bad)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+    def test_decomposition_at_large_reward_scales(self, scale):
+        from starclab.robustness import decompose_transformation
+
+        for mdp in (random_mdp(1, 4, 3), random_mdp(2, 1, 3), random_mdp(3, 1, 1)):
+            reward = scale * random_reward(2, mdp.n_states, mdp.n_actions)
+            for target in (1.7 * reward, -reward, scale * random_reward(5, mdp.n_states, mdp.n_actions)):
+                chain = decompose_transformation(mdp, reward, target)
+                out = apply_chain(mdp, reward, chain)
+                assert np.linalg.norm(out - target) <= 1e-8 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_redistribution_with_real_mean_rejected_at_any_scale(self, mdp_4x3, reward_4x3, scale):
+        clean = apply_redistribution_noise(mdp_4x3, np.zeros((4, 3, 4)), seed=3, magnitude=scale)
+        apply_chain(mdp_4x3, scale * reward_4x3, TransformChain((Redistribution(clean),)))
+        biased = clean + 1e-6 * np.abs(clean).max()  # conditional mean 1e-6 of the step
+        with pytest.raises(InvalidInstance, match="conditional mean"):
+            apply_chain(mdp_4x3, scale * reward_4x3, TransformChain((Redistribution(biased),)))
+
     def test_scale_must_be_positive(self, mdp_4x3, reward_4x3):
         with pytest.raises(InvalidInstance, match="positive"):
             apply_chain(mdp_4x3, reward_4x3, TransformChain((Scale(-1.0),)))

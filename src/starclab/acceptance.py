@@ -17,29 +17,28 @@ import numpy as np
 
 from .mdp import InvalidInstance, TabularMdp, random_mdp, random_reward, three_state_chain
 from .metric import regret_gap, starc_distance, standardize
-from .models import BehavioralModelSpec, ModelTable, boltzmann_policy, materialize_model, mce_policy
+from .models import (
+    BehavioralModelSpec,
+    ModelTable,
+    boltzmann_policy,
+    materialize_model,
+    mce_policy,
+    optimal_policy_uniform,
+)
 from .oracles import same_order_oracle
 from .robustness import (
-    CounterexampleCertificate,
     HypothesisSet,
     check_epsilon_robust,
     decompose_transformation,
     discount_counterexample,
     gridworld_demo,
-    nudge_bound,
     optimality_nonrobustness_witness,
     perturbation_counterexample,
     transition_counterexample,
     two_epsilon_lemma_check,
     verify_transformation_bound,
 )
-from .transforms import (
-    Nudge,
-    apply_potential_shaping,
-    apply_redistribution_noise,
-    project_invariant,
-    shaping_tensor,
-)
+from .transforms import apply_potential_shaping, apply_redistribution_noise, project_invariant
 
 
 def _random_shaped_equivalent(mdp, reward, seed, scale=2.0):
@@ -230,20 +229,16 @@ def criterion_7() -> dict:
     start = time.perf_counter()
     failures = []
     mdp_1, mdp_2 = _three_state_kernel_pair()
-    cert = transition_counterexample(mdp_1, mdp_2, model_kind="boltzmann", beta=1.0)
-    if cert.policy_gap >= 1e-6:
-        failures.append(f"3-state: gap {cert.policy_gap:.2e}")
-    if cert.distance < 0.99:
-        failures.append(f"3-state: distance {cert.distance}")
-    if not cert.verify():
-        failures.append("3-state: certificate does not re-verify")
-    demo = gridworld_demo(n=3)
-    if demo.policy_gap >= 1e-6:
-        failures.append(f"gridworld: gap {demo.policy_gap:.2e}")
-    if demo.distance < 0.99:
-        failures.append(f"gridworld: distance {demo.distance}")
-    if not demo.verify():
-        failures.append("gridworld: certificate does not re-verify")
+    for name, cert in (
+        ("3-state", transition_counterexample(mdp_1, mdp_2, model_kind="boltzmann", beta=1.0)),
+        ("gridworld", gridworld_demo(n=3)),
+    ):
+        if cert.policy_gap >= 1e-6:
+            failures.append(f"{name}: gap {cert.policy_gap:.2e}")
+        if cert.distance < 0.99:
+            failures.append(f"{name}: distance {cert.distance}")
+        if not cert.verify():
+            failures.append(f"{name}: certificate does not re-verify")
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < 10
     return {
@@ -299,13 +294,9 @@ def criterion_9() -> dict:
             recompose_fail += 1
             continue
         eps = starc_distance(mdp, r_1, r_2).distance + 1e-9
-        nudge_norms = [float(np.linalg.norm(s.delta)) for s in chain.steps if isinstance(s, Nudge)]
-        norm_before = _norm_before_nudge(mdp, r_1, chain)
-        if nudge_norms and nudge_norms[0] > norm_before * nudge_bound(eps) + 1e-9:
-            bound_fail += 1
-        ok, _ = verify_transformation_bound(mdp, chain, [r_1], eps)
-        if not ok:
-            confirm_fail += 1
+        ok, (probe,) = verify_transformation_bound(mdp, chain, [r_1], eps)
+        bound_fail += not probe["nudge_ok"]
+        confirm_fail += not ok
     passed = recompose_fail == 0 and bound_fail == 0 and confirm_fail == 0
     return {
         "name": "transformation-chain decomposition round trip",
@@ -317,18 +308,6 @@ def criterion_9() -> dict:
             "geometric minimum nudge for any decomposition)"
         ),
     }
-
-
-def _norm_before_nudge(mdp, reward, chain):
-    from .metric import canonicalize
-    from .transforms import apply_step
-
-    current = reward
-    for step in chain.steps:
-        if isinstance(step, Nudge):
-            return canonicalize(mdp, current).norm
-        current = apply_step(mdp, current, step)
-    return canonicalize(mdp, reward).norm
 
 
 def _angle_rewards(mdp, angles, seed=0):
@@ -404,8 +383,6 @@ def criterion_11() -> dict:
         transition=np.ones((1, 3, 1)), initial_dist=np.array([1.0]), discount=0.9
     )
     r_1, r_2 = optimality_nonrobustness_witness(mdp_3)
-    from .models import optimal_policy_uniform
-
     gap = np.abs(optimal_policy_uniform(mdp_3, r_1) - optimal_policy_uniform(mdp_3, r_2)).max()
     dist = starc_distance(mdp_3, r_1, r_2).distance
     if gap >= 1e-6:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from .mdp import InvalidInstance
-from .reports import ExperimentConfig, emit_report, report_json, run_experiment
+from .reports import ExperimentConfig, emit_report, report_text, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -19,10 +20,27 @@ EXIT_PIPELINE = 2
 EXIT_ACCEPTANCE = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    kind: str | None = None,
+    params: Callable[[argparse.Namespace], dict] | None = None,
+) -> None:
+    """Add the flags every subcommand takes.
+
+    An experiment subcommand also names its experiment ``kind`` and passes
+    ``params``, a function from its parsed flags to the experiment's params;
+    a ``None`` param (an optional flag left out) is not passed on.
+    """
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
+    parser.set_defaults(kind=kind, params=params)
+
+
+def _model(args: argparse.Namespace) -> dict:
+    """The ``model`` param from --model and the one of --beta/--alpha that it reads."""
+    weight = {"boltzmann": {"beta": args.beta}, "mce": {"alpha": args.alpha}}
+    return {"kind": args.model, **weight.get(args.model, {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--reward1", required=True)
     p.add_argument("--reward2", required=True)
-    _add_common(p)
+    _add_common(p, "starc-distance", lambda a: {
+        "mdp_file": a.mdp, "reward_1_file": a.reward1, "reward_2_file": a.reward2
+    })
 
     p = sub.add_parser("models", help="behavioural-model operations")
     models_sub = p.add_subparsers(dest="models_command", required=True)
@@ -43,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--model", default="boltzmann", choices=["optimal_uniform", "boltzmann", "mce"])
     pe.add_argument("--beta", type=float, default=1.0)
     pe.add_argument("--alpha", type=float, default=1.0)
-    _add_common(pe)
+    _add_common(pe, "models-eval", lambda a: {"mdp_file": a.mdp, "reward_file": a.reward, "model": _model(a)})
 
     p = sub.add_parser("robustness", help="robustness checking")
     rob_sub = p.add_subparsers(dest="robustness_command", required=True)
@@ -58,27 +78,33 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--gamma1", type=float, default=0.9)
     pg.add_argument("--gamma2", type=float, default=0.95)
     pg.add_argument("--beta", type=float, default=1.0)
-    _add_common(pg)
+    _add_common(pg, "counterexample-gamma", lambda a: {
+        "gamma_1": a.gamma1, "gamma_2": a.gamma2, "beta": a.beta, "seed": a.seed, "mdp_file": a.mdp
+    })
     pt = ce_sub.add_parser("tau")
     pt.add_argument("--mdp1", required=True)
     pt.add_argument("--mdp2", required=True)
     pt.add_argument("--beta", type=float, default=1.0)
-    _add_common(pt)
+    _add_common(pt, "counterexample-tau", lambda a: {
+        "mdp_1_file": a.mdp1, "mdp_2_file": a.mdp2, "beta": a.beta
+    })
     pp = ce_sub.add_parser("perturb")
     pp.add_argument("--mdp", default=None)
     pp.add_argument("--delta", type=float, default=1e-2)
     pp.add_argument("--c", type=float, default=1.0)
     pp.add_argument("--beta", type=float, default=1.0)
-    _add_common(pp)
+    _add_common(pp, "counterexample-perturb", lambda a: {
+        "delta": a.delta, "c": a.c, "beta": a.beta, "seed": a.seed, "mdp_file": a.mdp
+    })
     po = ce_sub.add_parser("optimality")
     po.add_argument("--mdp", default=None)
-    _add_common(po)
+    _add_common(po, "counterexample-optimality", lambda a: {"seed": a.seed, "mdp_file": a.mdp})
 
     p = sub.add_parser("gridworld-demo", help="torus-gridworld transition counterexample")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--alpha", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, "gridworld-demo", lambda a: {"n": a.n, "gamma": a.gamma, "alpha": a.alpha})
 
     p = sub.add_parser("oracle", help="brute-force oracles")
     orc_sub = p.add_subparsers(dest="oracle_command", required=True)
@@ -86,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mdp", required=True)
     ps.add_argument("--reward1", required=True)
     ps.add_argument("--reward2", required=True)
-    _add_common(ps)
+    _add_common(ps, "same-order", lambda a: {
+        "mdp_file": a.mdp, "reward_1_file": a.reward1, "reward_2_file": a.reward2, "seed": a.seed
+    })
 
     p = sub.add_parser("suite", help="verification suites")
     suite_sub = p.add_subparsers(dest="suite_command", required=True)
@@ -97,55 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.command == "starc":
-        return ExperimentConfig(
-            "starc-distance",
-            {"mdp_file": args.mdp, "reward_1_file": args.reward1, "reward_2_file": args.reward2},
-        )
-    if args.command == "models":
-        model = {"kind": args.model}
-        if args.model == "boltzmann":
-            model["beta"] = args.beta
-        elif args.model == "mce":
-            model["alpha"] = args.alpha
-        return ExperimentConfig(
-            "models-eval", {"mdp_file": args.mdp, "reward_file": args.reward, "model": model}
-        )
-    if args.command == "oracle":
-        return ExperimentConfig(
-            "same-order",
-            {
-                "mdp_file": args.mdp,
-                "reward_1_file": args.reward1,
-                "reward_2_file": args.reward2,
-                "seed": args.seed,
-            },
-        )
-    if args.command == "counterexample":
-        if args.scenario == "gamma":
-            params = {"gamma_1": args.gamma1, "gamma_2": args.gamma2, "beta": args.beta, "seed": args.seed}
-            if args.mdp:
-                params["mdp_file"] = args.mdp
-            return ExperimentConfig("counterexample-gamma", params)
-        if args.scenario == "tau":
-            return ExperimentConfig(
-                "counterexample-tau",
-                {"mdp_1_file": args.mdp1, "mdp_2_file": args.mdp2, "beta": args.beta},
-            )
-        if args.scenario == "perturb":
-            params = {"delta": args.delta, "c": args.c, "beta": args.beta, "seed": args.seed}
-            if args.mdp:
-                params["mdp_file"] = args.mdp
-            return ExperimentConfig("counterexample-perturb", params)
-        params = {"seed": args.seed}
-        if args.mdp:
-            params["mdp_file"] = args.mdp
-        return ExperimentConfig("counterexample-optimality", params)
-    if args.command == "gridworld-demo":
-        return ExperimentConfig(
-            "gridworld-demo", {"n": args.n, "gamma": args.gamma, "alpha": args.alpha}
-        )
-    raise InvalidInstance(f"no experiment mapping for command {args.command!r}")
+    """The experiment config an experiment subcommand's parsed flags describe."""
+    params = {key: value for key, value in args.params(args).items() if value is not None}
+    return ExperimentConfig(args.kind, params)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,11 +169,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             emit_report(report, args.format, args.out)
         else:
-            print(report_json(report))
+            # CSV text ends its rows itself; JSON text has no final newline.
+            print(report_text(report, args.format), end="" if args.format == "csv" else "\n")
     except InvalidInstance as exc:
         # CSV cannot hold this kind's list fields: the format is the wrong
         # choice.  JSON cannot hold a non-finite result: the pipeline's fault.
-        if args.out and args.format == "csv":
+        if args.format == "csv":
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         print(f"pipeline error: {exc}", file=sys.stderr)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+
 ROW_TOL = 1e-9
 DEFAULT_DP_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -169,6 +171,7 @@ def policy_evaluation(
     p_pi = np.einsum("sa,sat->st", policy, mdp.transition)
     v = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
     resid = np.abs(r_pi + mdp.discount * (p_pi @ v) - v).max()
+    tol = _kernels.tolerance(tol, v)
     if resid > tol:
         raise ConvergenceError(
             f"policy evaluation residual {resid:g} exceeds tolerance {tol:g}", residual=resid
@@ -187,8 +190,6 @@ def optimal_values(
     ``tol`` bounds the Bellman residual; it is floored at the roundoff of the
     Q-values (``_kernels.tolerance``).  ``max_iters`` bounds the rounds.
     """
-    from . import _kernels
-
     reward = check_reward(mdp, reward)
     er = expected_reward(mdp, reward)
     v, q, rounds, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, tol, max_iters)

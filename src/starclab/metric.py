@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import TabularMdp, check_reward
+from .oracles import regret_witness_search
 from .transforms import CanonicalOperator, canonical_operator
 
 # A reward is trivial when its canonical part is at most this fraction of
@@ -123,8 +124,6 @@ def regret_gap(
     policy pairs with J2(pi_2) >= J2(pi_1).  Returns 0 with no witness when
     reward 1 is trivial on deterministic policies (range below 1e-12).
     """
-    from .oracles import regret_witness_search
-
     reward_1 = check_reward(mdp, reward_1)
     reward_2 = check_reward(mdp, reward_2)
     return regret_witness_search(mdp, reward_1, reward_2, cap=cap)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .mdp import (
     DEFAULT_DP_TOL,
     ConvergenceError,
@@ -67,14 +68,15 @@ def _stacked_returns(
 
     ``policies`` is (N, S, A) and ``expected`` holds the k rewards' expected
     rewards, (k, S, A); the result is (k, N).  With ``tol``, a Bellman
-    residual above it for any policy raises ConvergenceError, the check that
-    ``policy_evaluation`` makes.
+    residual above it (floored at the values' roundoff, as in
+    ``policy_evaluation``) for any policy raises ConvergenceError.
     """
     p_pi = np.einsum("nsa,sat->nst", policies, mdp.transition)
     r_pi = np.einsum("nsa,ksa->nsk", policies, expected)
     v = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
     if tol is not None:
         resid = np.abs(r_pi + mdp.discount * (p_pi @ v) - v).max()
+        tol = _kernels.tolerance(tol, v)
         if resid > tol:
             raise ConvergenceError(
                 f"policy evaluation residual {resid:g} exceeds tolerance {tol:g}", residual=resid
@@ -92,7 +94,7 @@ def _expected_rewards(mdp: TabularMdp, *rewards: np.ndarray) -> np.ndarray:
     return np.stack([expected_reward(mdp, check_reward(mdp, reward)) for reward in rewards])
 
 
-def _signs(diffs: np.ndarray, band: float = SIGN_BAND) -> np.ndarray:
+def _signs(diffs: np.ndarray, band: float) -> np.ndarray:
     signs = np.sign(diffs)
     signs[np.abs(diffs) < band] = 0.0
     return signs
@@ -108,23 +110,26 @@ def same_order_oracle(
     """True iff the two rewards rank every tested policy pair the same way.
 
     Checks all enumerated deterministic policy pairs plus 200 seeded random
-    stochastic pairs; return differences within a 1e-10 band count as ties.
-    Each policy set is evaluated under both rewards in one stacked solve.
+    stochastic pairs.  Under each reward, return differences within
+    ``SIGN_BAND`` times its largest deterministic |return| count as ties, so
+    the verdict does not depend on the rewards' scale.  Each policy set is
+    evaluated under both rewards in one stacked solve.
     """
     expected = _expected_rewards(mdp, reward_1, reward_2)
     j1, j2 = _deterministic_returns(mdp, expected, cap)
+    band_1, band_2 = SIGN_BAND * np.abs(j1).max(), SIGN_BAND * np.abs(j2).max()
     chunk = 256
     for start in range(0, len(j1), chunk):
         d1 = j1[start : start + chunk, None] - j1[None, :]
         d2 = j2[start : start + chunk, None] - j2[None, :]
-        if (_signs(d1) != _signs(d2)).any():
+        if (_signs(d1, band_1) != _signs(d2, band_2)).any():
             return False
     # Pair i is (policies[2i], policies[2i + 1]): the draws of a per-pair loop.
     rng = np.random.default_rng(seed)
     policies = rng.dirichlet(np.ones(mdp.n_actions), size=(2 * N_STOCHASTIC_PAIRS, mdp.n_states))
     returns = _stacked_returns(mdp, policies, expected, tol=DEFAULT_DP_TOL)
     d1, d2 = returns[:, 0::2] - returns[:, 1::2]
-    return bool((_signs(d1) == _signs(d2)).all())
+    return bool((_signs(d1, band_1) == _signs(d2, band_2)).all())
 
 
 def value_iteration_oracle(

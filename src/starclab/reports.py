@@ -7,10 +7,13 @@ results bit-identically (timing fields excepted).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .metric import starc_distance
 from .models import BehavioralModelSpec
 from .oracles import same_order_oracle
 from .robustness import (
+    CounterexampleCertificate,
     discount_counterexample,
     gridworld_demo,
     optimality_nonrobustness_witness,
@@ -27,17 +31,6 @@ from .robustness import (
 )
 
 SCHEMA_TAG = "starclab-report-v1"
-
-EXPERIMENT_KINDS = {
-    "starc-distance",
-    "models-eval",
-    "same-order",
-    "counterexample-gamma",
-    "counterexample-tau",
-    "counterexample-perturb",
-    "counterexample-optimality",
-    "gridworld-demo",
-}
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,14 @@ class ExperimentConfig:
             raise InvalidInstance(
                 f"kind: unknown experiment kind {self.kind!r}; expected one of {sorted(EXPERIMENT_KINDS)}"
             )
-        for key in ("eta", "tol_dp"):
-            if key in self.params and self.params[key] <= 0:
-                raise InvalidInstance(f"params.{key}: tolerance must be positive")
+        if not isinstance(self.params, dict):
+            raise InvalidInstance("params: must be an object mapping parameter names to values")
+        accepted = EXPERIMENT_KINDS[self.kind].accepted()
+        for key in self.params:
+            if key not in accepted:
+                raise InvalidInstance(
+                    f"params.{key}: not a parameter of {self.kind!r}; expected one of {sorted(accepted)}"
+                )
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params}
@@ -89,75 +87,71 @@ def _resolve_reward(params: dict, key: str, mdp: TabularMdp) -> np.ndarray:
     )
 
 
+def _models_eval(mdp: TabularMdp, reward: np.ndarray, model: dict | None = None) -> dict:
+    spec = BehavioralModelSpec.from_dict({"kind": "boltzmann", "beta": 1.0} if model is None else model, mdp)
+    return {"model": spec.to_dict(), "policy": spec(reward).tolist()}
+
+
+def _optimality_witness(mdp: TabularMdp, **options) -> dict:
+    r_1, r_2 = optimality_nonrobustness_witness(mdp, **options)
+    distance = starc_distance(mdp, r_1, r_2).distance
+    return {"reward_1": r_1.tolist(), "reward_2": r_2.tolist(), "distance": distance}
+
+
+class _Kind(NamedTuple):
+    """How one experiment kind runs, and the params it accepts.
+
+    ``run`` takes the MDPs, then the rewards (on the first MDP), then the
+    options present in the params; an absent option keeps the library's
+    default.  Each MDP or reward comes from a generator spec under its name
+    or from a file under its name plus ``_file``.  ``run`` returns the
+    results, or a certificate.
+    """
+
+    run: Callable
+    mdps: tuple[str, ...] = ("mdp",)
+    rewards: tuple[str, ...] = ()
+    options: tuple[str, ...] = ()
+
+    def accepted(self) -> set[str]:
+        inputs = self.mdps + self.rewards
+        return {*inputs, *(f"{name}_file" for name in inputs), *self.options}
+
+
+_MODEL = ("model_kind", "beta", "alpha")
+
+# The lambdas look the library functions up when called, so a function
+# replaced on this module (a test double, a wrapper) is the one that runs.
+EXPERIMENT_KINDS = {
+    "starc-distance": _Kind(lambda *a: starc_distance(*a).to_dict(), rewards=("reward_1", "reward_2")),
+    "models-eval": _Kind(_models_eval, rewards=("reward",), options=("model",)),
+    "same-order": _Kind(
+        lambda *a, **o: {"same_order": bool(same_order_oracle(*a, **o))},
+        rewards=("reward_1", "reward_2"),
+        options=("seed",),
+    ),
+    "counterexample-gamma": _Kind(
+        lambda *a, **o: discount_counterexample(*a, **o), options=("gamma_1", "gamma_2", *_MODEL, "seed")
+    ),
+    "counterexample-tau": _Kind(
+        lambda *a, **o: transition_counterexample(*a, **o), mdps=("mdp_1", "mdp_2"), options=_MODEL
+    ),
+    "counterexample-perturb": _Kind(
+        lambda *a, **o: perturbation_counterexample(*a, **o), options=(*_MODEL, "c", "delta", "seed")
+    ),
+    "counterexample-optimality": _Kind(_optimality_witness, options=("seed",)),
+    "gridworld-demo": _Kind(lambda **o: gridworld_demo(**o), mdps=(), options=("n", "gamma", "alpha")),
+}
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     start = time.perf_counter()
-    params = config.params
-    if config.kind == "starc-distance":
-        mdp = _resolve_mdp(params)
-        r_1 = _resolve_reward(params, "reward_1", mdp)
-        r_2 = _resolve_reward(params, "reward_2", mdp)
-        results = starc_distance(mdp, r_1, r_2).to_dict()
-    elif config.kind == "models-eval":
-        mdp = _resolve_mdp(params)
-        reward = _resolve_reward(params, "reward", mdp)
-        spec = BehavioralModelSpec.from_dict(params.get("model", {"kind": "boltzmann", "beta": 1.0}), mdp)
-        results = {"model": spec.to_dict(), "policy": spec(reward).tolist()}
-    elif config.kind == "same-order":
-        mdp = _resolve_mdp(params)
-        r_1 = _resolve_reward(params, "reward_1", mdp)
-        r_2 = _resolve_reward(params, "reward_2", mdp)
-        same = same_order_oracle(mdp, r_1, r_2, seed=params.get("seed", 0))
-        results = {"same_order": bool(same)}
-    elif config.kind == "counterexample-gamma":
-        mdp = _resolve_mdp(params)
-        cert = discount_counterexample(
-            mdp,
-            gamma_1=params.get("gamma_1", 0.9),
-            gamma_2=params.get("gamma_2", 0.95),
-            model_kind=params.get("model_kind", "boltzmann"),
-            beta=params.get("beta"),
-            alpha=params.get("alpha"),
-            seed=params.get("seed", 0),
-        )
-        results = {"certificate": cert.to_dict(), "verified": cert.verify()}
-    elif config.kind == "counterexample-tau":
-        mdp_1 = _resolve_mdp(params, "mdp_1")
-        mdp_2 = _resolve_mdp(params, "mdp_2")
-        cert = transition_counterexample(
-            mdp_1,
-            mdp_2,
-            model_kind=params.get("model_kind", "boltzmann"),
-            beta=params.get("beta"),
-            alpha=params.get("alpha"),
-        )
-        results = {"certificate": cert.to_dict(), "verified": cert.verify()}
-    elif config.kind == "counterexample-perturb":
-        mdp = _resolve_mdp(params)
-        cert = perturbation_counterexample(
-            mdp,
-            model_kind=params.get("model_kind", "boltzmann"),
-            beta=params.get("beta"),
-            alpha=params.get("alpha"),
-            c=params.get("c", 1.0),
-            delta=params.get("delta", 1e-2),
-            seed=params.get("seed", 0),
-        )
-        results = {"certificate": cert.to_dict(), "verified": cert.verify()}
-    elif config.kind == "counterexample-optimality":
-        mdp = _resolve_mdp(params)
-        r_1, r_2 = optimality_nonrobustness_witness(mdp, seed=params.get("seed", 0))
-        results = {
-            "reward_1": r_1.tolist(),
-            "reward_2": r_2.tolist(),
-            "distance": starc_distance(mdp, r_1, r_2).distance,
-        }
-    else:  # gridworld-demo
-        cert = gridworld_demo(
-            n=params.get("n", 3),
-            gamma=params.get("gamma", 0.9),
-            alpha=params.get("alpha", 1.0),
-        )
-        results = {"certificate": cert.to_dict(), "verified": cert.verify()}
+    kind, params = EXPERIMENT_KINDS[config.kind], config.params
+    mdps = [_resolve_mdp(params, name) for name in kind.mdps]
+    rewards = [_resolve_reward(params, name, mdps[0]) for name in kind.rewards]
+    results = kind.run(*mdps, *rewards, **{key: params[key] for key in kind.options if key in params})
+    if isinstance(results, CounterexampleCertificate):
+        results = {"certificate": results.to_dict(), "verified": results.verify()}
     return {
         "schema": SCHEMA_TAG,
         "config": config.to_dict(),
@@ -201,28 +195,32 @@ def _non_finite_field(prefix: str, obj) -> str | None:
     return None
 
 
-def report_json(report: dict) -> str:
-    """The report as strict JSON text; NaN and infinities raise InvalidInstance."""
-    try:
-        return json.dumps(report, indent=2, allow_nan=False)
-    except ValueError as exc:
-        where = _non_finite_field("", report)
-        if where is None:
-            raise
-        raise InvalidInstance(f"report field {where} is not finite; JSON cannot represent it") from exc
+def report_text(report: dict, fmt: str) -> str:
+    """The report as strict JSON, or as a CSV header row and value row.
+
+    NaN and infinities raise InvalidInstance under JSON, and so does a
+    list-valued field under CSV; both name the field.
+    """
+    if fmt == "json":
+        try:
+            return json.dumps(report, indent=2, allow_nan=False)
+        except ValueError as exc:
+            where = _non_finite_field("", report)
+            if where is None:
+                raise
+            raise InvalidInstance(f"report field {where} is not finite; JSON cannot represent it") from exc
+    if fmt == "csv":
+        flat: dict = {}
+        _flatten_scalars("", report, flat)
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(flat.keys())
+        writer.writerow(flat.values())
+        return out.getvalue()
+    raise InvalidInstance(f"unknown report format {fmt!r}")
 
 
 def emit_report(report: dict, fmt: str, path) -> None:
-    if fmt == "json":
-        text = report_json(report)  # before opening, so a bad report leaves no file
-        with open(path, "w") as fh:
-            fh.write(text)
-    elif fmt == "csv":
-        flat: dict = {}
-        _flatten_scalars("", report, flat)  # before opening, so a list field leaves no file
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(flat.keys())
-            writer.writerow(flat.values())
-    else:
-        raise InvalidInstance(f"unknown report format {fmt!r}")
+    text = report_text(report, fmt)  # before opening, so a report the format cannot hold leaves no file
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .mdp import (
     random_reward,
 )
 from .metric import canonicalize, distance_table, standardize, starc_distance
-from .models import BehavioralModelSpec, ModelTable
+from .models import BehavioralModelSpec, ModelTable, optimal_policy_uniform
 from .transforms import (
     Nudge,
     Redistribution,
@@ -348,15 +348,16 @@ class CounterexampleCertificate:
     distance: float
     params: dict = field(default_factory=dict)
 
-    def _model_spec(self) -> BehavioralModelSpec:
-        return BehavioralModelSpec.from_dict(self.model, self.mdp_gen)
-
-    def verify(self, tol: float = DIST_TOL) -> bool:
-        """Recompute both measured quantities from the stored inputs."""
-        spec = self._model_spec()
+    def measure(self) -> tuple[float, float]:
+        """Policy gap under ``mdp_gen`` and STARC distance under ``mdp_eval``, from the stored inputs."""
+        spec = BehavioralModelSpec.from_dict(self.model, self.mdp_gen)
         metric = PolicyMetricSpec(self.policy_metric)
         gap = metric.distance(self.mdp_gen, spec(self.reward_1), spec(self.reward_2))
-        dist = starc_distance(self.mdp_eval, self.reward_1, self.reward_2).distance
+        return gap, starc_distance(self.mdp_eval, self.reward_1, self.reward_2).distance
+
+    def verify(self, tol: float = DIST_TOL) -> bool:
+        """Re-measure from the stored inputs and compare with the stored values."""
+        gap, dist = self.measure()
         return abs(gap - self.policy_gap) <= tol and abs(dist - self.distance) <= tol
 
     def to_dict(self) -> dict:
@@ -392,23 +393,34 @@ class CounterexampleCertificate:
         )
 
 
-def _model_dict(model_kind: str, beta: float | None, alpha: float | None) -> dict:
-    if model_kind == "boltzmann":
-        return {"kind": "boltzmann", "beta": beta if beta is not None else 1.0}
-    if model_kind == "mce":
-        return {"kind": "mce", "alpha": alpha if alpha is not None else 1.0}
-    if model_kind == "optimal_uniform":
-        return {"kind": "optimal_uniform"}
-    raise InvalidInstance(f"unknown model kind {model_kind!r}")
+def _certificate(
+    scenario: str,
+    model: BehavioralModelSpec,
+    mdp_eval: TabularMdp,
+    reward_1: np.ndarray,
+    reward_2: np.ndarray,
+    policy_metric: str,
+    params: dict,
+) -> CounterexampleCertificate:
+    """A certificate for a reward pair, measured by ``CounterexampleCertificate.measure``.
+
+    The generating environment is the model's own.
+    """
+    cert = CounterexampleCertificate(
+        scenario, model.environment, mdp_eval, reward_1, reward_2, model.to_dict(), policy_metric,
+        policy_gap=math.nan, distance=math.nan, params=params,
+    )
+    gap, dist = cert.measure()
+    return replace(cert, policy_gap=gap, distance=dist)
 
 
 def discount_counterexample(
     mdp: TabularMdp,
-    gamma_1: float,
-    gamma_2: float,
+    gamma_1: float = 0.9,
+    gamma_2: float = 0.95,
     model_kind: str = "boltzmann",
-    beta: float | None = None,
-    alpha: float | None = None,
+    beta: float = 1.0,
+    alpha: float = 1.0,
     seed: int = 0,
 ) -> CounterexampleCertificate:
     """Reward pair a gamma_1 model cannot tell apart but gamma_2 maximally separates.
@@ -419,69 +431,32 @@ def discount_counterexample(
     opposite policy orderings (distance 1).
     """
     r_dagger = invisible_reward_discount(mdp, gamma_1, gamma_2, seed=seed)
-    mdp_gen = mdp.with_discount(gamma_1)
-    mdp_eval = mdp.with_discount(gamma_2)
-    model = _model_dict(model_kind, beta, alpha)
-    spec = BehavioralModelSpec.from_dict(model, mdp_gen)
-    metric = PolicyMetricSpec("linf")
-    gap = metric.distance(mdp_gen, spec(r_dagger), spec(-r_dagger))
-    dist = starc_distance(mdp_eval, r_dagger, -r_dagger).distance
-    return CounterexampleCertificate(
-        scenario="discount",
-        mdp_gen=mdp_gen,
-        mdp_eval=mdp_eval,
-        reward_1=r_dagger,
-        reward_2=-r_dagger,
-        model=model,
-        policy_metric="linf",
-        policy_gap=gap,
-        distance=dist,
-        params={"gamma_1": gamma_1, "gamma_2": gamma_2, "seed": seed},
-    )
+    model = BehavioralModelSpec(model_kind, mdp.with_discount(gamma_1), beta, alpha)
+    params = {"gamma_1": gamma_1, "gamma_2": gamma_2, "seed": seed}
+    return _certificate("discount", model, mdp.with_discount(gamma_2), r_dagger, -r_dagger, "linf", params)
 
 
 def transition_counterexample(
     mdp_1: TabularMdp,
     mdp_2: TabularMdp,
     model_kind: str = "boltzmann",
-    beta: float | None = None,
-    alpha: float | None = None,
-    reward_pair: tuple[np.ndarray, np.ndarray] | None = None,
+    beta: float = 1.0,
+    alpha: float = 1.0,
 ) -> CounterexampleCertificate:
     """Reward pair one transition kernel cannot tell apart but another separates.
 
-    By default the pair is a zero-kernel-1-conditional-mean reward and its
-    negation; a custom pair with the same property may be supplied.
+    The pair is a zero-kernel-1-conditional-mean reward and its negation.
     """
-    if reward_pair is None:
-        r_dagger = invisible_reward_transition(mdp_1, mdp_2)
-        reward_1, reward_2 = r_dagger, -r_dagger
-    else:
-        reward_1, reward_2 = reward_pair
-    model = _model_dict(model_kind, beta, alpha)
-    spec = BehavioralModelSpec.from_dict(model, mdp_1)
-    metric = PolicyMetricSpec("linf")
-    gap = metric.distance(mdp_1, spec(reward_1), spec(reward_2))
-    dist = starc_distance(mdp_2, reward_1, reward_2).distance
-    return CounterexampleCertificate(
-        scenario="transition",
-        mdp_gen=mdp_1,
-        mdp_eval=mdp_2,
-        reward_1=reward_1,
-        reward_2=reward_2,
-        model=model,
-        policy_metric="linf",
-        policy_gap=gap,
-        distance=dist,
-        params={"gamma": mdp_1.discount},
-    )
+    r_dagger = invisible_reward_transition(mdp_1, mdp_2)
+    model = BehavioralModelSpec(model_kind, mdp_1, beta, alpha)
+    return _certificate("transition", model, mdp_2, r_dagger, -r_dagger, "linf", {"gamma": mdp_1.discount})
 
 
 def perturbation_counterexample(
     mdp: TabularMdp,
     model_kind: str = "boltzmann",
-    beta: float | None = None,
-    alpha: float | None = None,
+    beta: float = 1.0,
+    alpha: float = 1.0,
     c: float = 1.0,
     delta: float = 1e-2,
     policy_metric: PolicyMetricSpec | None = None,
@@ -501,8 +476,7 @@ def perturbation_counterexample(
     if delta <= 0:
         raise InvalidInstance("delta must be positive")
     metric = policy_metric or PolicyMetricSpec("l2")
-    model = _model_dict(model_kind, beta, alpha)
-    spec = BehavioralModelSpec.from_dict(model, mdp)
+    spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
 
     unit = None
     for attempt in range(20):
@@ -545,20 +519,8 @@ def perturbation_counterexample(
         else:
             hi_b = mid
     eps = lo
-    reward_1, reward_2 = build(eps)
-    dist = starc_distance(mdp, reward_1, reward_2).distance
-    return CounterexampleCertificate(
-        scenario="perturbation",
-        mdp_gen=mdp,
-        mdp_eval=mdp,
-        reward_1=reward_1,
-        reward_2=reward_2,
-        model=model,
-        policy_metric=metric.kind,
-        policy_gap=g,
-        distance=dist,
-        params={"c": c, "delta": delta, "eps": eps, "seed": seed},
-    )
+    params = {"c": c, "delta": delta, "eps": eps, "seed": seed}
+    return _certificate("perturbation", spec, mdp, *build(eps), metric.kind, params)
 
 
 def separation_witness_search(
@@ -614,8 +576,6 @@ def optimality_nonrobustness_witness(
     different rewards onto the same policy.  Impossible (by a counting
     argument) only when |S| = 1 and |A| = 2, or when |A| = 1.
     """
-    from .models import optimal_policy_uniform
-
     if mdp.n_states == 1 and mdp.n_actions == 2:
         raise InvalidInstance(
             "with one state and two actions every pair of rewards with the same "
@@ -741,18 +701,6 @@ def gridworld_demo(
                 # Minimum-norm row completion of the single mean constraint.
                 reward_2[s, a, others] = residual * weights / (weights @ weights)
 
-    cert = transition_counterexample(
-        mdp_slip, mdp_det, model_kind="mce", alpha=alpha, reward_pair=(reward_1, reward_2)
-    )
-    return CounterexampleCertificate(
-        scenario="transition",
-        mdp_gen=cert.mdp_gen,
-        mdp_eval=cert.mdp_eval,
-        reward_1=cert.reward_1,
-        reward_2=cert.reward_2,
-        model=cert.model,
-        policy_metric=cert.policy_metric,
-        policy_gap=cert.policy_gap,
-        distance=cert.distance,
-        params={"n": n, "gamma": gamma, "alpha": alpha, "demo": "torus-gridworld"},
-    )
+    model = BehavioralModelSpec("mce", mdp_slip, alpha=alpha)
+    params = {"n": n, "gamma": gamma, "alpha": alpha, "demo": "torus-gridworld"}
+    return _certificate("transition", model, mdp_det, reward_1, reward_2, "linf", params)

@@ -42,11 +42,12 @@ def _reference_same_order(mdp, reward_1, reward_2, cap=oracles.DEFAULT_CAP, seed
     reward_2 = check_reward(mdp, reward_2)
     j1 = _reference_deterministic_returns(mdp, reward_1, cap)
     j2 = _reference_deterministic_returns(mdp, reward_2, cap)
+    band_1, band_2 = oracles.SIGN_BAND * np.abs(j1).max(), oracles.SIGN_BAND * np.abs(j2).max()
     chunk = 256
     for start in range(0, len(j1), chunk):
         d1 = j1[start : start + chunk, None] - j1[None, :]
         d2 = j2[start : start + chunk, None] - j2[None, :]
-        if (oracles._signs(d1) != oracles._signs(d2)).any():
+        if (oracles._signs(d1, band_1) != oracles._signs(d2, band_2)).any():
             return False
     rng = np.random.default_rng(seed)
     for _ in range(oracles.N_STOCHASTIC_PAIRS):
@@ -54,7 +55,7 @@ def _reference_same_order(mdp, reward_1, reward_2, cap=oracles.DEFAULT_CAP, seed
         pol_b = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
         d1 = policy_return(mdp, reward_1, pol_a) - policy_return(mdp, reward_1, pol_b)
         d2 = policy_return(mdp, reward_2, pol_a) - policy_return(mdp, reward_2, pol_b)
-        if oracles._signs(np.array([d1]))[0] != oracles._signs(np.array([d2]))[0]:
+        if oracles._signs(np.array([d1]), band_1)[0] != oracles._signs(np.array([d2]), band_2)[0]:
             return False
     return True
 
@@ -159,6 +160,20 @@ class TestSameOrder:
             d = starc_distance(mdp, r_1, r_2).distance
             assert (d < 1e-8) == same_order_oracle(mdp, r_1, r_2, seed=i)
 
+    def test_verdict_independent_of_reward_scale(self):
+        # Scaled and shaped pairs rank policies alike and negated pairs
+        # oppositely, at every magnitude: ties are judged relative to the
+        # returns, and the residual check to the values' roundoff.
+        for i in range(30):
+            n_s, n_a = 1 + i % 4, 2 + i % 2
+            mdp = random_mdp(400 + i, n_s, n_a, discount=(0.5, 0.9, 0.99)[i % 3])
+            reward = random_reward(500 + i, n_s, n_a)
+            shaped = apply_potential_shaping(mdp, reward, np.arange(n_s, dtype=float) - 1.0)
+            for c in 10.0 ** np.arange(-12, 13, 3):
+                assert same_order_oracle(mdp, c * reward, 2.0 * c * reward), (i, c)
+                assert same_order_oracle(mdp, c * reward, 3.0 * c * shaped), (i, c)
+                assert not same_order_oracle(mdp, c * reward, -c * reward), (i, c)
+
 
 class TestBatchedOracles:
     def test_same_order_matches_per_policy_loop(self):
@@ -198,9 +213,9 @@ class TestBatchedOracles:
             seen.append(policies)
             return stacked(mdp, policies, expected, tol)
 
-        def spy_signs(diffs):
+        def spy_signs(diffs, band):
             compared.append(diffs)
-            return signs(diffs)
+            return signs(diffs, band)
 
         monkeypatch.setattr(oracles, "_stacked_returns", spy_returns)
         monkeypatch.setattr(oracles, "_signs", spy_signs)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from starclab import InvalidInstance, random_mdp, random_reward, starc_distance
-from starclab.cli import EXIT_OK, EXIT_VALIDATION, build_parser, main
+from starclab.cli import EXIT_OK, EXIT_VALIDATION, _config_from_args, build_parser, main
 from starclab.mdp import save_mdp, save_reward
 from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
 
@@ -66,6 +67,14 @@ class TestRunExperiment:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(InvalidInstance, match="eta"):
             ExperimentConfig("starc-distance", {"eta": 0.0})
+
+    def test_misspelled_key_rejected(self):
+        with pytest.raises(InvalidInstance, match=r"params\.gamma1"):
+            ExperimentConfig("counterexample-gamma", {"gamma1": 0.9})
+        # A *_file key is accepted where its stem is, and nowhere else.
+        ExperimentConfig("counterexample-tau", {"mdp_1_file": "a.json", "mdp_2": {"seed": 1}})
+        with pytest.raises(InvalidInstance, match=r"params\.mdp_file"):
+            ExperimentConfig("gridworld-demo", {"mdp_file": "a.json"})
 
 
 class TestEmitReport:
@@ -170,6 +179,53 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert "results.policy" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_csv_on_stdout(self, io_files, capsys):
+        mdp, r_1, r_2, paths, _ = io_files
+        rc = main(
+            ["starc", "--mdp", str(paths["mdp"]), "--reward1", str(paths["r1"]), "--reward2", str(paths["r2"]),
+             "--format", "csv"]
+        )
+        assert rc == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert float(values["results.distance"]) == pytest.approx(starc_distance(mdp, r_1, r_2).distance)
+
+    def test_csv_of_list_report_on_stdout_exits_validation(self, capsys):
+        rc = main(["gridworld-demo", "--format", "csv"])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "results.certificate" in captured.err
+        assert captured.out == ""
+
+    def test_misspelled_config_key_exits_validation(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "counterexample-gamma", "params": {"gamma1": 0.9}}))
+        rc = main(["robustness", "check", "--config", str(config)])
+        assert rc == EXIT_VALIDATION
+        assert "params.gamma1" in capsys.readouterr().err
+
+    def test_every_subcommand_maps_to_accepted_params(self):
+        # Give every flag without a default a value, so each flag's param is
+        # checked against the kind table.
+        def leaves(parser, path):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from leaves(child, path + [name])
+            if parser.get_default("kind") is not None:
+                yield path, parser
+
+        commands = 0
+        for path, parser in leaves(build_parser(), []):
+            argv = list(path)
+            for action in parser._actions:
+                if action.option_strings and action.default is None:
+                    argv += [action.option_strings[0], "x.json"]
+            config = _config_from_args(build_parser().parse_args(argv))
+            assert config.kind == parser.get_default("kind")
+            commands += 1
+        assert commands == 8
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -301,6 +301,19 @@ class TestDecompose:
             decompose_transformation(mdp_4x3, reward_4x3, np.full((4, 3, 4), 1.0))
 
 
+def test_fresh_certificates_verify_exactly():
+    mdp_1, mdp_2 = random_mdp(60, 3, 2), random_mdp(61, 3, 2)
+    certificates = [
+        discount_counterexample(mdp_1, 0.8, 0.9, model_kind="mce", alpha=0.5),
+        transition_counterexample(mdp_1, mdp_2, model_kind="optimal_uniform"),
+        perturbation_counterexample(mdp_1, delta=1e-3, seed=2),
+        gridworld_demo(n=2),
+    ]
+    assert [cert.scenario for cert in certificates] == ["discount", "transition", "perturbation", "transition"]
+    for cert in certificates:
+        assert cert.verify(tol=0.0), cert.scenario
+
+
 class TestDiscountCounterexample:
     def test_chain_certificate(self):
         cert = discount_counterexample(three_state_chain(), 0.9, 0.95)

@@ -1,14 +1,16 @@
-"""Exact Bellman fixed-point solvers.
+"""The Bellman layer: exact policy evaluation, the fixed-point solvers, and
+the one rule that accepts a residual.
 
-Each fixed point has one solver, and each round of either solver is one
-dense linear solve of the current policy's Bellman equation, so the number
-of rounds does not grow with 1/(1 - gamma) the way value-iteration sweeps
-do.  ``max_iters`` bounds the number of rounds.
-
-Both entry points return ``(v, q, rounds, residual)``: ``q`` is recomputed
-from the final ``v`` and ``residual`` is the sup-norm Bellman residual of
-``v``.  The entry points keep their value-iteration names because the
-benchmark's tracer wraps them by name.
+``evaluate`` is the one stacked solve of ``(I - gamma P_pi) v = r_pi``,
+behind ``mdp.policy_evaluation``, the oracles and soft policy iteration.
+Each round of either fixed-point solver is one dense linear solve, so the
+rounds do not grow with 1/(1 - gamma); ``max_iters`` bounds them.  Every
+threshold is relative: ``check_residual`` accepts a residual within
+``tolerance(tol, values)``, and policy iteration switches an action only
+where it gains more than the roundoff of the Q-values, so a reward and its
+positive multiples get the same optimal policy.  Both solvers return
+``(v, q, rounds, residual)`` and keep their value-iteration names, which
+the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -18,17 +20,21 @@ import numpy as np
 # Recorded by the benchmark's host report; no solver here is jit-compiled.
 USING_NUMBA = False
 
-# An action is switched only where it gains more than this fraction of the
-# tolerance, so exact ties cannot make policy iteration cycle.
-SWITCH_FRACTION = 1e-2
-
 # A float64 Bellman residual cannot be resolved below a few ulps of the
-# Q-values, so every tolerance is floored at this many ulps of max|q|.
-ROUNDOFF_ULPS = 64
+# Q-values, so every tolerance is floored at 64 ulps of max|q|.
+_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+class ConvergenceError(RuntimeError):
+    """A fixed-point solver failed to reach its tolerance."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def _roundoff(q):
-    return ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(q).max()
+    return _ROUNDOFF * np.abs(q).max()
 
 
 def tolerance(tol, q):
@@ -41,13 +47,39 @@ def tolerance(tol, q):
     return max(tol, _roundoff(q))
 
 
-def value_iteration(expected_reward, transition, discount, tol, max_iters):
+def check_residual(residual, tol, values, failure):
+    """Raise ConvergenceError, its message opened by ``failure``, unless
+    ``residual`` is within ``tolerance(tol, values)``."""
+    tol = tolerance(tol, values)
+    if residual > tol:
+        raise ConvergenceError(
+            f"{failure}: residual {residual:g} exceeds tolerance {tol:g}", residual=residual
+        )
+
+
+def evaluate(transition, discount, policies, expected, tol=None):
+    """Values, (N, S, k), of N policies (N, S, A) under k expected rewards (k, S, A).
+
+    One stacked solve of ``(I - gamma P_pi) v = r_pi``.  With ``tol``, a
+    sup-norm Bellman residual that ``check_residual`` rejects raises
+    ConvergenceError; without it the residual is not computed.
+    """
+    p_pi = np.einsum("nsa,sat->nst", policies, transition)
+    r_pi = np.einsum("nsa,ksa->nsk", policies, expected)
+    system = np.eye(transition.shape[0]) - discount * p_pi
+    v = np.linalg.solve(system, r_pi)
+    if tol is not None:
+        check_residual(np.abs(system @ v - r_pi).max(), tol, v, "policy evaluation")
+    return v
+
+
+def value_iteration(expected_reward, transition, discount, max_iters):
     """Optimal (greedy) Bellman fixed point by Howard policy iteration.
 
     Starts from the actions that are greedy on the expected reward,
     evaluates the current deterministic policy exactly, and switches every
-    action whose greedy gain exceeds ``SWITCH_FRACTION * tol`` (or the
-    roundoff of ``q``).  Stops when the policy is stable.  Returns
+    action whose greedy gain exceeds the roundoff of ``q``, so exact ties
+    cannot make it cycle.  Stops when the policy is stable.  Returns
     ``(v, q, rounds, residual)``.
     """
     n_states = expected_reward.shape[0]
@@ -57,12 +89,13 @@ def value_iteration(expected_reward, transition, discount, tol, max_iters):
     rounds = 0
     while True:
         rounds += 1
+        # The gathered rows of a deterministic policy; cheaper than ``evaluate``.
         v = np.linalg.solve(
             eye - discount * transition[states, actions], expected_reward[states, actions]
         )
         q = expected_reward + discount * (transition @ v)
         best = q.max(axis=1)
-        switch = best - q[states, actions] > max(SWITCH_FRACTION * tol, _roundoff(q))
+        switch = best - q[states, actions] > _roundoff(q)
         if not switch.any() or rounds >= max_iters:
             return v, q, rounds, np.abs(best - v).max()
         actions = np.where(switch, q.argmax(axis=1), actions)
@@ -78,22 +111,20 @@ def soft_value_iteration(expected_reward, transition, discount, weight, tol, max
     Returns ``(v, q, rounds, residual)``.
     """
     n_states, n_actions = expected_reward.shape
-    eye = np.eye(n_states)
     log_policy = np.full((n_states, n_actions), -np.log(n_actions))
     policy = np.full((n_states, n_actions), 1.0 / n_actions)
     rounds = 0
     last_resid = np.inf
     while True:
         rounds += 1
-        p_pi = np.einsum("sa,sat->st", policy, transition)
-        r_pi = (policy * (expected_reward - weight * log_policy)).sum(axis=1)
-        v = np.linalg.solve(eye - discount * p_pi, r_pi)
+        soft_reward = expected_reward - weight * log_policy
+        v = evaluate(transition, discount, policy[None], soft_reward[None])[0, :, 0]
         q = expected_reward + discount * (transition @ v)
         m = q.max(axis=1)
         v_soft = m + weight * np.log(np.exp((q - m[:, None]) / weight).sum(axis=1))
         resid = np.abs(v_soft - v).max()
         # Below the roundoff floor, stop once a round no longer helps.
-        stalled = resid < tolerance(tol, q) and resid >= last_resid
+        stalled = resid >= last_resid and resid < tolerance(tol, q)
         if resid < tol or stalled or rounds >= max_iters:
             return v, q, rounds, resid
         last_resid = resid

@@ -12,7 +12,7 @@ import sys
 from collections.abc import Callable
 
 from .mdp import InvalidInstance
-from .reports import ExperimentConfig, emit_report, report_text, run_experiment
+from .reports import EXPERIMENT_KINDS, ExperimentConfig, emit_report, report_text, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -25,13 +25,15 @@ def _add_common(
     kind: str | None = None,
     params: Callable[[argparse.Namespace], dict] | None = None,
 ) -> None:
-    """Add the flags every subcommand takes.
+    """Add the report flags ``--format`` and ``--out``, and ``--seed`` where used.
 
     An experiment subcommand also names its experiment ``kind`` and passes
     ``params``, a function from its parsed flags to the experiment's params;
-    a ``None`` param (an optional flag left out) is not passed on.
+    a ``None`` param (an optional flag left out) is not passed on.  It takes
+    ``--seed`` only if its kind reads a ``seed`` option.
     """
-    parser.add_argument("--seed", type=int, default=0)
+    if kind is not None and "seed" in EXPERIMENT_KINDS[kind].options:
+        parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.set_defaults(kind=kind, params=params)
@@ -118,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="verification suites")
     suite_sub = p.add_subparsers(dest="suite_command", required=True)
-    pa = suite_sub.add_parser("acceptance", help="run the 12-criterion acceptance suite")
-    _add_common(pa)
+    suite_sub.add_parser("acceptance", help="run the 12-criterion acceptance suite")
 
     return parser
 

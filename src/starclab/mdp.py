@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import ConvergenceError  # noqa: F401  (re-exported; the solvers raise it)
 
 ROW_TOL = 1e-9
 DEFAULT_DP_TOL = 1e-10
@@ -22,14 +23,6 @@ DEFAULT_MAX_ITERS = 100_000
 
 class InvalidInstance(ValueError):
     """An MDP, reward, or policy violates a structural invariant."""
-
-
-class ConvergenceError(RuntimeError):
-    """A fixed-point solver failed to reach its tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +160,7 @@ def policy_evaluation(
     reward = check_reward(mdp, reward)
     policy = check_policy(mdp, policy)
     er = expected_reward(mdp, reward)
-    r_pi = (policy * er).sum(axis=1)
-    p_pi = np.einsum("sa,sat->st", policy, mdp.transition)
-    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
-    resid = np.abs(r_pi + mdp.discount * (p_pi @ v) - v).max()
-    tol = _kernels.tolerance(tol, v)
-    if resid > tol:
-        raise ConvergenceError(
-            f"policy evaluation residual {resid:g} exceeds tolerance {tol:g}", residual=resid
-        )
-    return v
+    return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None], tol)[0, :, 0]
 
 
 def optimal_values(
@@ -192,14 +176,8 @@ def optimal_values(
     """
     reward = check_reward(mdp, reward)
     er = expected_reward(mdp, reward)
-    v, q, rounds, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, tol, max_iters)
-    tol = _kernels.tolerance(tol, q)
-    if resid > tol:
-        raise ConvergenceError(
-            f"policy iteration did not converge in {rounds} rounds "
-            f"(Bellman residual {resid:g} > {tol:g})",
-            residual=resid,
-        )
+    v, q, rounds, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, max_iters)
+    _kernels.check_residual(resid, tol, q, f"policy iteration did not converge in {rounds} rounds")
     return v, q
 
 

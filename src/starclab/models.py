@@ -16,7 +16,6 @@ from . import _kernels
 from .mdp import (
     DEFAULT_DP_TOL,
     DEFAULT_MAX_ITERS,
-    ConvergenceError,
     InvalidInstance,
     TabularMdp,
     check_reward,
@@ -28,12 +27,16 @@ from .mdp import (
 def optimal_policy_uniform(mdp: TabularMdp, reward: np.ndarray, kappa: float | None = None) -> np.ndarray:
     """Uniform distribution over the near-argmax actions of the optimal Q-values.
 
-    The tie tolerance ``kappa`` defaults to ``1e-8 * (1 + max|Q*|)`` so that
-    floating-point near-ties are treated as exact ties.
+    The tie tolerance ``kappa`` defaults to ``1e-8 * max|Q*|``, so that
+    floating-point near-ties are treated as exact ties, floored at the
+    roundoff of ``max|R| / (1 - gamma)``, the largest |Q*| the reward allows:
+    a reward the transitions never see has a Q* of pure roundoff, and every
+    action ties.  Both terms are relative, so a reward and its positive
+    multiples get the same policy.
     """
     _, q = optimal_values(mdp, reward)
     if kappa is None:
-        kappa = 1e-8 * (1.0 + np.abs(q).max())
+        kappa = _kernels.tolerance(1e-8 * np.abs(q).max(), np.abs(reward).max() / (1 - mdp.discount))
     if kappa < 0:
         raise InvalidInstance("kappa must be nonnegative")
     best = q.max(axis=1, keepdims=True)
@@ -67,13 +70,7 @@ def mce_policy(
     v, q, rounds, resid = _kernels.soft_value_iteration(
         er, mdp.transition, mdp.discount, alpha, tol, max_iters
     )
-    tol = _kernels.tolerance(tol, q)
-    if resid > tol:
-        raise ConvergenceError(
-            f"soft policy iteration did not converge in {rounds} rounds "
-            f"(soft Bellman residual {resid:g} > {tol:g})",
-            residual=resid,
-        )
+    _kernels.check_residual(resid, tol, q, f"soft policy iteration did not converge in {rounds} rounds")
     policy = np.exp((q - v[:, None]) / alpha)
     return policy / policy.sum(axis=1, keepdims=True)
 

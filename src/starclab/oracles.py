@@ -68,19 +68,9 @@ def _stacked_returns(
 
     ``policies`` is (N, S, A) and ``expected`` holds the k rewards' expected
     rewards, (k, S, A); the result is (k, N).  With ``tol``, a Bellman
-    residual above it (floored at the values' roundoff, as in
-    ``policy_evaluation``) for any policy raises ConvergenceError.
+    residual that ``_kernels.check_residual`` rejects raises ConvergenceError.
     """
-    p_pi = np.einsum("nsa,sat->nst", policies, mdp.transition)
-    r_pi = np.einsum("nsa,ksa->nsk", policies, expected)
-    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
-    if tol is not None:
-        resid = np.abs(r_pi + mdp.discount * (p_pi @ v) - v).max()
-        tol = _kernels.tolerance(tol, v)
-        if resid > tol:
-            raise ConvergenceError(
-                f"policy evaluation residual {resid:g} exceeds tolerance {tol:g}", residual=resid
-            )
+    v = _kernels.evaluate(mdp.transition, mdp.discount, policies, expected, tol)
     return np.einsum("s,nsk->kn", mdp.initial_dist, v)
 
 

@@ -7,6 +7,7 @@ results bit-identically (timing fields excepted).
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -43,14 +44,13 @@ class ExperimentConfig:
             raise InvalidInstance(
                 f"kind: unknown experiment kind {self.kind!r}; expected one of {sorted(EXPERIMENT_KINDS)}"
             )
-        if not isinstance(self.params, dict):
-            raise InvalidInstance("params: must be an object mapping parameter names to values")
-        accepted = EXPERIMENT_KINDS[self.kind].accepted()
-        for key in self.params:
-            if key not in accepted:
-                raise InvalidInstance(
-                    f"params.{key}: not a parameter of {self.kind!r}; expected one of {sorted(accepted)}"
-                )
+        kind = EXPERIMENT_KINDS[self.kind]
+        _check_keys("params", self.params, kind.accepted(), repr(self.kind))
+        specs = [(name, _MDP_SPEC, "random_mdp") for name in kind.mdps]
+        specs += [(name, _REWARD_SPEC, "random_reward") for name in kind.rewards]
+        for name, keys, generator in specs:
+            if name in self.params:
+                _check_keys(f"params.{name}", self.params[name], keys, f"a {generator} spec")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params}
@@ -62,29 +62,33 @@ class ExperimentConfig:
         return cls(kind=data["kind"], params=data.get("params", {}))
 
 
+# The keys of a generator spec: random_mdp's parameters, and those of
+# random_reward's that the MDP does not fix.
+_MDP_SPEC = set(inspect.signature(random_mdp).parameters)
+_REWARD_SPEC = set(inspect.signature(random_reward).parameters) - {"n_states", "n_actions"}
+
+
+def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:
+    """Refuse a ``mapping`` that is not an object, or has a key not in ``accepted``, by its path."""
+    if not isinstance(mapping, dict):
+        raise InvalidInstance(f"{path}: must be an object mapping parameter names to values")
+    for key in mapping:
+        if key not in accepted:
+            raise InvalidInstance(
+                f"{path}.{key}: not a parameter of {owner}; expected one of {sorted(accepted)}"
+            )
+
+
 def _resolve_mdp(params: dict, prefix: str = "mdp") -> TabularMdp:
     if f"{prefix}_file" in params:
         return load_mdp(params[f"{prefix}_file"])
-    gen = params.get(prefix, {})
-    return random_mdp(
-        seed=gen.get("seed", 0),
-        n_states=gen.get("n_states", 4),
-        n_actions=gen.get("n_actions", 3),
-        concentration=gen.get("concentration", 1.0),
-        discount=gen.get("discount", 0.9),
-    )
+    return random_mdp(**{"seed": 0, "n_states": 4, "n_actions": 3, **params.get(prefix, {})})
 
 
 def _resolve_reward(params: dict, key: str, mdp: TabularMdp) -> np.ndarray:
     if f"{key}_file" in params:
         return load_reward(params[f"{key}_file"], mdp)
-    gen = params.get(key, {})
-    return random_reward(
-        seed=gen.get("seed", 0),
-        n_states=mdp.n_states,
-        n_actions=mdp.n_actions,
-        scale=gen.get("scale", 1.0),
-    )
+    return random_reward(n_states=mdp.n_states, n_actions=mdp.n_actions, **{"seed": 0, **params.get(key, {})})
 
 
 def _models_eval(mdp: TabularMdp, reward: np.ndarray, model: dict | None = None) -> dict:

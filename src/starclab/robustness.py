@@ -16,7 +16,6 @@ true one?  This module provides:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -373,9 +372,6 @@ class CounterexampleCertificate:
             "distance": self.distance,
             "params": self.params,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "CounterexampleCertificate":

@@ -203,7 +203,13 @@ NEITHER = "neither"
 
 
 def differ_by(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> str:
-    """Classify how two rewards differ with respect to the transformation group."""
+    """Classify how two rewards differ with respect to the transformation group.
+
+    Both tests are relative, so the verdict does not depend on the rewards'
+    scale: the difference's canonical part is compared with the larger
+    reward (the difference carries that reward's roundoff), and the two
+    canonical directions are compared as unit vectors.
+    """
     reward_1 = check_reward(mdp, reward_1)
     reward_2 = check_reward(mdp, reward_2)
     diff = reward_1 - reward_2
@@ -213,12 +219,10 @@ def differ_by(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> st
     operator = canonical_operator(mdp)
     coords = operator.coordinates(np.stack([diff, reward_1, reward_2]))
     residual, n1, n2 = np.linalg.norm(coords, axis=1)
-    if residual < MEMBERSHIP_TOL * max(1.0, diff_norm):
+    if residual < MEMBERSHIP_TOL * max(np.linalg.norm(reward_1), np.linalg.norm(reward_2)):
         return SHAPING_AND_REDISTRIBUTION
-    if n1 > 0 and n2 > 0:
-        scale = max(1.0, n1, n2)
-        if np.linalg.norm(coords[1] / n1 - coords[2] / n2) < MEMBERSHIP_TOL * scale:
-            return ALSO_POSITIVE_SCALING
+    if n1 > 0 and n2 > 0 and np.linalg.norm(coords[1] / n1 - coords[2] / n2) < MEMBERSHIP_TOL:
+        return ALSO_POSITIVE_SCALING
     return NEITHER
 
 

@@ -38,7 +38,7 @@ def _soft_backup(q, weight):
 def test_policy_iteration_matches_value_iteration_oracle():
     for discount, seed in itertools.product(DISCOUNTS, range(2)):
         mdp, reward, er = _instance(seed, discount)
-        v, q, rounds, resid = value_iteration(er, mdp.transition, discount, TOL, 100_000)
+        v, q, rounds, resid = value_iteration(er, mdp.transition, discount, 100_000)
         assert resid <= TOL
         assert rounds <= 10
         assert np.abs(q.max(axis=1) - v).max() <= TOL
@@ -59,7 +59,7 @@ def test_soft_policy_iteration_matches_value_iteration_oracle():
 
 def test_wrappers_return_consistent_q_and_residual():
     mdp, _, er = _instance(9)
-    v, q, iters, resid = value_iteration(er, mdp.transition, mdp.discount, 1e-10, 100_000)
+    v, q, iters, resid = value_iteration(er, mdp.transition, mdp.discount, 100_000)
     assert resid < 1e-10
     assert iters > 0
     assert np.abs(q - (er + mdp.discount * (mdp.transition @ v))).max() < 1e-12
@@ -72,7 +72,7 @@ def test_wrappers_return_consistent_q_and_residual():
 def test_near_one_discount_converges_in_few_rounds():
     mdp, _, er = _instance(3, 0.999, n_states=100, n_actions=5)
     for solve in (
-        lambda: value_iteration(er, mdp.transition, mdp.discount, TOL, 100_000),
+        lambda: value_iteration(er, mdp.transition, mdp.discount, 100_000),
         lambda: soft_value_iteration(er, mdp.transition, mdp.discount, 1.0, TOL, 100_000),
     ):
         _, _, rounds, resid = solve()
@@ -85,7 +85,7 @@ def test_exact_ties_terminate_with_uniform_support():
     reward = np.zeros((3, 2, 3))
     reward[:, :, 2] = 1.0  # both actions of s1 and of s2 tie exactly
     er = expected_reward(chain, reward)
-    _, q, rounds, resid = value_iteration(er, chain.transition, chain.discount, TOL, 100_000)
+    _, q, rounds, resid = value_iteration(er, chain.transition, chain.discount, 100_000)
     assert rounds <= 2
     assert resid <= TOL
     assert q[1, 0] == q[1, 1] and q[2, 0] == q[2, 1]
@@ -93,14 +93,14 @@ def test_exact_ties_terminate_with_uniform_support():
     np.testing.assert_array_equal(policy, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
 
     flat = np.zeros((3, 2, 3))
-    assert value_iteration(expected_reward(chain, flat), chain.transition, 0.9, TOL, 100_000)[2] == 1
+    assert value_iteration(expected_reward(chain, flat), chain.transition, 0.9, 100_000)[2] == 1
     np.testing.assert_array_equal(optimal_policy_uniform(chain, flat), np.full((3, 2), 0.5))
     np.testing.assert_allclose(mce_policy(chain, flat, 1.0), np.full((3, 2), 0.5), atol=1e-12)
 
 
 def test_round_budget_exhaustion_raises():
     mdp, reward, er = _instance(7, 0.99)
-    assert value_iteration(er, mdp.transition, mdp.discount, TOL, 100_000)[2] > 1
+    assert value_iteration(er, mdp.transition, mdp.discount, 100_000)[2] > 1
     assert soft_value_iteration(er, mdp.transition, mdp.discount, 1.0, TOL, 100_000)[2] > 1
     with pytest.raises(ConvergenceError, match="policy iteration did not converge in 1 rounds"):
         optimal_values(mdp, reward, max_iters=1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,15 @@ class TestOptimalUniform:
         base = optimal_policy_uniform(mdp_4x3, reward_4x3) > 0
         for c in (0.1, 10.0):
             assert np.array_equal(optimal_policy_uniform(mdp_4x3, c * reward_4x3) > 0, base)
+
+    def test_policy_is_scale_free(self):
+        # c * R has R's optimal policy at every magnitude, ties included.
+        for seed, discount in itertools.product(range(20), (0.5, 0.9, 0.99)):
+            mdp = random_mdp(seed, 4, 3, discount=discount)
+            reward = random_reward(1000 + seed, 4, 3)
+            base = optimal_policy_uniform(mdp, reward)
+            for c in 10.0 ** np.arange(-12, 13, 3):
+                np.testing.assert_array_equal(optimal_policy_uniform(mdp, c * reward), base)
 
 
 class TestBoltzmann:

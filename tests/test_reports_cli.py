@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from starclab import InvalidInstance, random_mdp, random_reward, starc_distance
+from starclab import InvalidInstance, boltzmann_policy, random_mdp, random_reward, starc_distance
 from starclab.cli import EXIT_OK, EXIT_VALIDATION, _config_from_args, build_parser, main
 from starclab.mdp import save_mdp, save_reward
 from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
@@ -25,6 +25,16 @@ def io_files(tmp_path):
     save_reward(r_1, paths["r1"])
     save_reward(r_2, paths["r2"])
     return mdp, r_1, r_2, paths, tmp_path
+
+
+def _experiment_commands(parser, path=()):
+    """(argv path, parser) of every subcommand that runs an experiment kind."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _experiment_commands(child, [*path, name])
+    if parser.get_default("kind") is not None:
+        yield list(path), parser
 
 
 class TestRunExperiment:
@@ -75,6 +85,23 @@ class TestRunExperiment:
         ExperimentConfig("counterexample-tau", {"mdp_1_file": "a.json", "mdp_2": {"seed": 1}})
         with pytest.raises(InvalidInstance, match=r"params\.mdp_file"):
             ExperimentConfig("gridworld-demo", {"mdp_file": "a.json"})
+
+    def test_generator_spec_keys_checked(self):
+        with pytest.raises(InvalidInstance, match=r"params\.mdp\.n_state:"):
+            ExperimentConfig("starc-distance", {"mdp": {"n_state": 6}})
+        with pytest.raises(InvalidInstance, match=r"params\.mdp_2\.scale:"):
+            ExperimentConfig("counterexample-tau", {"mdp_2": {"scale": 2.0}})
+        with pytest.raises(InvalidInstance, match=r"params\.reward_1\.n_states:"):
+            ExperimentConfig("starc-distance", {"reward_1": {"n_states": 3}})
+        with pytest.raises(InvalidInstance, match=r"params\.mdp: must be an object"):
+            ExperimentConfig("starc-distance", {"mdp": 3})
+        # An MDP spec takes random_mdp's parameters; a reward spec, its seed and scale.
+        mdp_spec = {"seed": 2, "n_states": 3, "n_actions": 2, "concentration": 0.5, "discount": 0.8}
+        reward_spec = {"seed": 4, "scale": 2.0}
+        config = ExperimentConfig("models-eval", {"mdp": mdp_spec, "reward": reward_spec})
+        mdp = random_mdp(**mdp_spec)
+        expected = boltzmann_policy(mdp, random_reward(4, 3, 2, scale=2.0), 1.0)
+        np.testing.assert_array_equal(run_experiment(config)["results"]["policy"], expected)
 
 
 class TestEmitReport:
@@ -208,16 +235,8 @@ class TestCli:
     def test_every_subcommand_maps_to_accepted_params(self):
         # Give every flag without a default a value, so each flag's param is
         # checked against the kind table.
-        def leaves(parser, path):
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for name, child in action.choices.items():
-                        yield from leaves(child, path + [name])
-            if parser.get_default("kind") is not None:
-                yield path, parser
-
         commands = 0
-        for path, parser in leaves(build_parser(), []):
+        for path, parser in _experiment_commands(build_parser()):
             argv = list(path)
             for action in parser._actions:
                 if action.option_strings and action.default is None:
@@ -226,6 +245,50 @@ class TestCli:
             assert config.kind == parser.get_default("kind")
             commands += 1
         assert commands == 8
+
+    def test_every_optional_flag_changes_the_config(self):
+        # --alpha is read only by the mce model, so it is set under --model mce.
+        context = {("models", "eval", "--alpha"): ["--model", "mce"]}
+        commands = 0
+        for path, parser in _experiment_commands(build_parser()):
+            required = []
+            for action in parser._actions:
+                if action.required:
+                    required += [action.option_strings[0], "x.json"]
+            for action in parser._actions:
+                flag = action.option_strings[0] if action.option_strings else None
+                if flag is None or action.required or flag in ("-h", "--format", "--out"):
+                    continue
+                if action.choices:
+                    value = next(choice for choice in action.choices if choice != action.default)
+                else:
+                    value = "x.json" if action.default is None else str(2 * action.default + 1)
+                argv = path + required + context.get((*path, flag), [])
+                before = _config_from_args(build_parser().parse_args(argv))
+                after = _config_from_args(build_parser().parse_args(argv + [flag, value]))
+                assert after != before, (path, flag)
+            commands += 1
+        assert commands == 8
+
+    def test_flags_a_command_does_not_read_are_refused(self, capsys):
+        for argv in (
+            ["starc", "--mdp", "m.json", "--reward1", "a.json", "--reward2", "b.json", "--seed", "3"],
+            ["gridworld-demo", "--seed", "7"],
+            ["robustness", "check", "--config", "c.json", "--seed", "1"],
+            ["suite", "acceptance", "--format", "csv"],
+            ["suite", "acceptance", "--out", "report.json"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_spec_that_is_not_an_object_exits_validation(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "starc-distance", "params": {"mdp": 3}}))
+        rc = main(["robustness", "check", "--config", str(config)])
+        assert rc == EXIT_VALIDATION
+        assert "params.mdp:" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -310,8 +310,11 @@ def test_fresh_certificates_verify_exactly():
         gridworld_demo(n=2),
     ]
     assert [cert.scenario for cert in certificates] == ["discount", "transition", "perturbation", "transition"]
-    for cert in certificates:
+    # The transition pair's difference is invisible to mdp_1, so its Q* there
+    # is roundoff, which the optimal model must read as ties.
+    for cert, max_gap in zip(certificates, (1e-6, 1e-6, 1e-3, 1e-6)):
         assert cert.verify(tol=0.0), cert.scenario
+        assert cert.policy_gap < max_gap, cert.scenario
 
 
 class TestDiscountCounterexample:

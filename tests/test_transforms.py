@@ -192,6 +192,21 @@ class TestDifferBy:
         assert differ_by(mdp_4x3, reward_4x3, -reward_4x3) == "neither"
         assert not same_order_oracle(mdp_4x3, reward_4x3, -reward_4x3)
 
+    def test_verdicts_are_scale_free(self):
+        for seed in range(10):
+            mdp = random_mdp(seed, 4, 3)
+            reward = random_reward(100 + seed, 4, 3)
+            shaped = apply_potential_shaping(mdp, reward, np.random.default_rng(seed).standard_normal(4))
+            pairs = (
+                (shaped, "shaping_and_redistribution"),
+                (3.0 * shaped, "also_positive_scaling"),
+                (-reward, "neither"),
+                (random_reward(200 + seed, 4, 3), "neither"),
+            )
+            for c in 10.0 ** np.arange(-12, 13, 3):
+                for other, verdict in pairs:
+                    assert differ_by(mdp, c * reward, c * other) == verdict, (seed, c)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-5, 5), st.floats(-5, 5))
     def test_shaping_always_order_preserving(self, seed, phi_a, phi_b):

@@ -133,6 +133,11 @@ def check_reward(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     return reward
 
 
+def reward_stack(mdp: TabularMdp, rewards) -> np.ndarray:
+    """The (N, S, A, S) stack of N rewards, each checked by ``check_reward``."""
+    return np.stack([check_reward(mdp, reward) for reward in rewards])
+
+
 def check_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     policy = np.asarray(policy, dtype=float)
     shape = (mdp.n_states, mdp.n_actions)
@@ -146,8 +151,11 @@ def check_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
 
 
 def expected_reward(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
-    """Conditional mean reward per (state, action): E_{s'~tau(s,a)}[R(s,a,s')]."""
-    return np.einsum("sat,sat->sa", mdp.transition, reward)
+    """Conditional mean reward per (state, action): E_{s'~tau(s,a)}[R(s,a,s')].
+
+    ``reward`` may be a stack, (..., S, A, S); the result is then (..., S, A).
+    """
+    return np.einsum("sat,...sat->...sa", mdp.transition, reward)
 
 
 def policy_evaluation(
@@ -163,22 +171,36 @@ def policy_evaluation(
     return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None], tol)[0, :, 0]
 
 
+def optimal_values_stack(
+    mdp: TabularMdp,
+    rewards: np.ndarray,
+    tol: float = DEFAULT_DP_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal values (N, S) and Q-values (N, S, A) of a checked (N, S, A, S)
+    reward stack, by one stacked Howard policy iteration.
+
+    ``tol`` bounds each item's Bellman residual; it is floored at the
+    roundoff of that item's Q-values (``_kernels.tolerance``).  ``max_iters``
+    bounds the rounds.  The first item that misses its tolerance raises
+    ConvergenceError, with its index as ``item``.
+    """
+    v, q, rounds, resid = _kernels.policy_iteration(
+        expected_reward(mdp, rewards), mdp.transition, mdp.discount, max_iters
+    )
+    _kernels.check_residual(resid, tol, q, lambda i: f"policy iteration did not converge in {rounds[i]} rounds")
+    return v, q
+
+
 def optimal_values(
     mdp: TabularMdp,
     reward: np.ndarray,
     tol: float = DEFAULT_DP_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal state values and Q-values by Howard policy iteration.
-
-    ``tol`` bounds the Bellman residual; it is floored at the roundoff of the
-    Q-values (``_kernels.tolerance``).  ``max_iters`` bounds the rounds.
-    """
-    reward = check_reward(mdp, reward)
-    er = expected_reward(mdp, reward)
-    v, q, rounds, resid = _kernels.value_iteration(er, mdp.transition, mdp.discount, max_iters)
-    _kernels.check_residual(resid, tol, q, f"policy iteration did not converge in {rounds} rounds")
-    return v, q
+    """Optimal state values and Q-values: ``optimal_values_stack`` of one reward."""
+    v, q = optimal_values_stack(mdp, check_reward(mdp, reward)[None], tol, max_iters)
+    return v[0], q[0]
 
 
 def policy_return(mdp: TabularMdp, reward: np.ndarray, policy: np.ndarray) -> float:

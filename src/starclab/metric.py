@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, check_reward
+from .mdp import TabularMdp, check_reward, reward_stack
 from .oracles import regret_witness_search
 from .transforms import CanonicalOperator, canonical_operator
 
@@ -28,6 +28,10 @@ from .transforms import CanonicalOperator, canonical_operator
 # the reward's own norm: below that it is roundoff of the projection, at any
 # reward magnitude.
 TRIVIAL_RTOL = 1e-9
+
+# Elements in one row block of pairwise differences (2 MiB of float64), so a
+# table of n by m rows of length d holds O(n*m + BLOCK_ELEMENTS) extra, not O(n*m*d).
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,17 @@ class MetricReport:
         }
 
 
-def _stack(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([check_reward(mdp, reward) for reward in rewards])
+def pairwise_norms(x: np.ndarray, y: np.ndarray, ord=None) -> np.ndarray:
+    """The (n, m) table of ``np.linalg.norm(x[i] - y[j], ord)`` for rows x (n, d) and y (m, d).
+
+    Each entry is taken from the difference itself, by broadcasting over
+    blocks of rows of x that hold at most ``BLOCK_ELEMENTS`` differences
+    (one row per block if a row alone holds more).
+    """
+    rows = max(1, BLOCK_ELEMENTS // max(1, y.size))
+    return np.concatenate(
+        [np.linalg.norm(x[i : i + rows, None] - y, ord=ord, axis=2) for i in range(0, len(x), rows)]
+    )
 
 
 def _standardized(
@@ -79,14 +92,14 @@ def _standardized(
 
 def canonicalize(mdp: TabularMdp, reward: np.ndarray) -> CanonicalReward:
     operator = canonical_operator(mdp)
-    coords, norms, _ = _standardized(operator, _stack(mdp, [reward]))
+    coords, norms, _ = _standardized(operator, reward_stack(mdp, [reward]))
     return CanonicalReward(canonical=operator.tensor(coords)[0], norm=float(norms[0]))
 
 
 def standardize(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     """Unit-norm canonical reward, or the zero tensor for trivial rewards."""
     operator = canonical_operator(mdp)
-    _, _, units = _standardized(operator, _stack(mdp, [reward]))
+    _, _, units = _standardized(operator, reward_stack(mdp, [reward]))
     return operator.tensor(units)[0]
 
 
@@ -95,7 +108,7 @@ def is_trivial(mdp: TabularMdp, reward: np.ndarray) -> bool:
 
 
 def starc_distance(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> MetricReport:
-    _, norms, (unit_1, unit_2) = _standardized(canonical_operator(mdp), _stack(mdp, [reward_1, reward_2]))
+    _, norms, (unit_1, unit_2) = _standardized(canonical_operator(mdp), reward_stack(mdp, [reward_1, reward_2]))
     return MetricReport(
         distance=0.5 * float(np.linalg.norm(unit_1 - unit_2)),
         canonical_norm_1=float(norms[0]),
@@ -111,8 +124,8 @@ def distance_table(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray
     entry is taken from the difference of two standardized rewards, not from
     their cosine, so near-identical rewards stay accurate to roundoff.
     """
-    _, _, units = _standardized(canonical_operator(mdp), _stack(mdp, rewards))
-    return np.stack([0.5 * np.linalg.norm(units - unit, axis=1) for unit in units])
+    _, _, units = _standardized(canonical_operator(mdp), reward_stack(mdp, rewards))
+    return 0.5 * pairwise_norms(units, units)
 
 
 def regret_gap(

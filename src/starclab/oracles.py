@@ -19,6 +19,7 @@ from .mdp import (
     TabularMdp,
     check_reward,
     expected_reward,
+    reward_stack,
 )
 from .transforms import invariance_basis
 
@@ -81,7 +82,7 @@ def _deterministic_returns(mdp: TabularMdp, expected: np.ndarray, cap: int) -> n
 
 
 def _expected_rewards(mdp: TabularMdp, *rewards: np.ndarray) -> np.ndarray:
-    return np.stack([expected_reward(mdp, check_reward(mdp, reward)) for reward in rewards])
+    return expected_reward(mdp, reward_stack(mdp, rewards))
 
 
 def _signs(diffs: np.ndarray, band: float) -> np.ndarray:

@@ -51,6 +51,10 @@ class ExperimentConfig:
         for name, keys, generator in specs:
             if name in self.params:
                 _check_keys(f"params.{name}", self.params[name], keys, f"a {generator} spec")
+                for key, value in self.params[name].items():
+                    what, valid = _SPEC_VALUES[key]
+                    if not valid(value):
+                        raise InvalidInstance(f"params.{name}.{key}: must be {what}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params}
@@ -66,6 +70,26 @@ class ExperimentConfig:
 # random_reward's that the MDP does not fix.
 _MDP_SPEC = set(inspect.signature(random_mdp).parameters)
 _REWARD_SPEC = set(inspect.signature(random_reward).parameters) - {"n_states", "n_actions"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (_is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
+
+
+# What each generator-spec value must be.  A seed must be given as an
+# integer: ``None`` would draw an unseeded, unreproducible instance.
+_SPEC_VALUES = {
+    "seed": ("an integer", _is_int),
+    "n_states": ("a positive integer", lambda value: _is_int(value) and value > 0),
+    "n_actions": ("a positive integer", lambda value: _is_int(value) and value > 0),
+    "concentration": ("a finite number", _is_finite),
+    "discount": ("a finite number", _is_finite),
+    "scale": ("a finite number", _is_finite),
+}
 
 
 def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:

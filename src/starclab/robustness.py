@@ -27,8 +27,9 @@ from .mdp import (
     check_reward,
     occupancy_measure,
     random_reward,
+    reward_stack,
 )
-from .metric import canonicalize, distance_table, standardize, starc_distance
+from .metric import canonicalize, distance_table, pairwise_norms, standardize, starc_distance
 from .models import BehavioralModelSpec, ModelTable, optimal_policy_uniform
 from .transforms import (
     Nudge,
@@ -115,9 +116,7 @@ def _pair_distances(mdp_eval: TabularMdp, hypotheses: HypothesisSet) -> np.ndarr
 
 def _policy_gaps(table_1: ModelTable, table_2: ModelTable) -> np.ndarray:
     """(n, n) sup-norm distances between the policies of two tables, row i from table_1."""
-    stack_1 = np.stack([policy.ravel() for _, policy in table_1.entries])
-    stack_2 = np.stack([policy.ravel() for _, policy in table_2.entries])
-    return np.stack([np.abs(stack_2 - policy).max(axis=1) for policy in stack_1])
+    return pairwise_norms(table_1.flat, table_2.flat, ord=np.inf)
 
 
 @dataclass(frozen=True)
@@ -350,8 +349,8 @@ class CounterexampleCertificate:
     def measure(self) -> tuple[float, float]:
         """Policy gap under ``mdp_gen`` and STARC distance under ``mdp_eval``, from the stored inputs."""
         spec = BehavioralModelSpec.from_dict(self.model, self.mdp_gen)
-        metric = PolicyMetricSpec(self.policy_metric)
-        gap = metric.distance(self.mdp_gen, spec(self.reward_1), spec(self.reward_2))
+        policies = spec.policies(reward_stack(self.mdp_gen, (self.reward_1, self.reward_2)))
+        gap = PolicyMetricSpec(self.policy_metric).distance(self.mdp_gen, *policies)
         return gap, starc_distance(self.mdp_eval, self.reward_1, self.reward_2).distance
 
     def verify(self, tol: float = DIST_TOL) -> bool:
@@ -490,8 +489,8 @@ def perturbation_counterexample(
         return eps * unit + s_part, -eps * unit + s_part
 
     def gap(eps: float) -> float:
-        r_1, r_2 = build(eps)
-        return metric.distance(mdp, spec(r_1), spec(r_2))
+        # One N=2 solve, the same one ``CounterexampleCertificate.measure`` makes.
+        return metric.distance(mdp, *spec.policies(reward_stack(mdp, build(eps))))
 
     hi = c * (1.0 - 1e-12)
     eps = hi
@@ -558,7 +557,7 @@ def separation_witness_search(
         r_1 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
         r_2 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
         if starc_distance(mdp, r_1, r_2).distance > epsilon:
-            if policy_metric.distance(mdp, model(r_1), model(r_2)) <= delta:
+            if policy_metric.distance(mdp, *model.policies(np.stack([r_1, r_2]))) <= delta:
                 return r_1, r_2
     return None
 

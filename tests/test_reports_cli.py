@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from starclab import InvalidInstance, boltzmann_policy, random_mdp, random_reward, starc_distance
 from starclab.cli import EXIT_OK, EXIT_VALIDATION, _config_from_args, build_parser, main
+from starclab import reports
 from starclab.mdp import save_mdp, save_reward
 from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
 
@@ -102,6 +104,27 @@ class TestRunExperiment:
         mdp = random_mdp(**mdp_spec)
         expected = boltzmann_policy(mdp, random_reward(4, 3, 2, scale=2.0), 1.0)
         np.testing.assert_array_equal(run_experiment(config)["results"]["policy"], expected)
+
+    def test_generator_spec_values_checked(self):
+        # An unseeded spec would draw a different instance on every run.
+        for path, params in (
+            ("params.mdp.seed", {"mdp": {"seed": None}}),
+            ("params.reward_1.seed", {"reward_1": {"seed": None}}),
+            ("params.reward_2.seed", {"reward_2": {"seed": True}}),
+            ("params.mdp.seed", {"mdp": {"seed": 1.0}}),
+            ("params.mdp.n_states", {"mdp": {"n_states": "4"}}),
+            ("params.mdp.n_states", {"mdp": {"n_states": 0}}),
+            ("params.mdp.n_actions", {"mdp": {"n_actions": 2.0}}),
+            ("params.mdp.n_actions", {"mdp": {"n_actions": False}}),
+            ("params.mdp.concentration", {"mdp": {"concentration": "1"}}),
+            ("params.mdp.discount", {"mdp": {"discount": math.nan}}),
+            ("params.reward_1.scale", {"reward_1": {"scale": math.inf}}),
+            ("params.reward_1.scale", {"reward_1": {"scale": None}}),
+        ):
+            with pytest.raises(InvalidInstance, match=rf"{re.escape(path)}: must be"):
+                ExperimentConfig("starc-distance", params)
+        ExperimentConfig("starc-distance", {"mdp": {"seed": np.int64(3), "discount": 0.5}, "reward_1": {"scale": 2}})
+        assert set(reports._SPEC_VALUES) == reports._MDP_SPEC | reports._REWARD_SPEC
 
 
 class TestEmitReport:
@@ -289,6 +312,13 @@ class TestCli:
         rc = main(["robustness", "check", "--config", str(config)])
         assert rc == EXIT_VALIDATION
         assert "params.mdp:" in capsys.readouterr().err
+
+    def test_generator_spec_values_exit_validation(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        for params, path in (({"mdp": {"seed": None}}, "params.mdp.seed"), ({"mdp": {"n_states": "4"}}, "params.mdp.n_states")):
+            config.write_text(json.dumps({"kind": "starc-distance", "params": params}))
+            assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION
+            assert path in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -12,6 +12,7 @@ import sys
 from collections.abc import Callable
 
 from .mdp import InvalidInstance
+from .models import MODEL_KINDS
 from .reports import EXPERIMENT_KINDS, ExperimentConfig, emit_report, report_text, run_experiment
 
 EXIT_OK = 0
@@ -40,9 +41,9 @@ def _add_common(
 
 
 def _model(args: argparse.Namespace) -> dict:
-    """The ``model`` param from --model and the one of --beta/--alpha that it reads."""
-    weight = {"boltzmann": {"beta": args.beta}, "mce": {"alpha": args.alpha}}
-    return {"kind": args.model, **weight.get(args.model, {})}
+    """The ``model`` param from --model and the weight flag that its kind reads."""
+    weight = MODEL_KINDS[args.model].weight
+    return {"kind": args.model, **({weight: getattr(args, weight)} if weight else {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe = models_sub.add_parser("eval", help="evaluate a model on a reward")
     pe.add_argument("--mdp", required=True)
     pe.add_argument("--reward", required=True)
-    pe.add_argument("--model", default="boltzmann", choices=["optimal_uniform", "boltzmann", "mce"])
-    pe.add_argument("--beta", type=float, default=1.0)
-    pe.add_argument("--alpha", type=float, default=1.0)
+    pe.add_argument("--model", default="boltzmann", choices=list(MODEL_KINDS))
+    for weight in dict.fromkeys(kind.weight for kind in MODEL_KINDS.values() if kind.weight):
+        pe.add_argument(f"--{weight}", type=float, default=1.0)
     _add_common(pe, "models-eval", lambda a: {"mdp_file": a.mdp, "reward_file": a.reward, "model": _model(a)})
 
     p = sub.add_parser("robustness", help="robustness checking")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,6 +25,13 @@ DEFAULT_MAX_ITERS = 100_000
 
 class InvalidInstance(ValueError):
     """An MDP, reward, or policy violates a structural invariant."""
+
+
+def is_finite_real(value) -> bool:
+    """True for an int or float, not a bool, that a float holds finitely."""
+    if isinstance(value, (int, np.integer)):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
 @dataclass(frozen=True, eq=False)

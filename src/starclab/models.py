@@ -1,20 +1,20 @@
 """Behavioural models: total maps from reward functions to policies.
 
-Three models are provided — uniform-over-optimal-actions, Boltzmann-rational
-(per-state softmax of the optimal Q-values at inverse temperature beta), and
-maximal-causal-entropy (the entropy-regularised Bellman fixed point with
-weight alpha, solved by soft policy iteration).
-
-Each model has one implementation, from an (N, S, A, S) reward stack to
-(N, S, A) policies, with one stacked solve for the whole stack;
-``BehavioralModelSpec.policies`` and ``materialize_model`` use it directly,
-and the single-reward functions are its N=1 case.
+``MODEL_KINDS`` is the one table of kinds: uniform-over-optimal-actions, Boltzmann-rational
+(per-state softmax of the optimal Q-values at inverse temperature ``beta``), and
+maximal-causal-entropy (the entropy-regularised Bellman fixed point with weight ``alpha``,
+solved by soft policy iteration).  Each kind has one implementation, from an (N, S, A, S)
+reward stack to (N, S, A) policies with one stacked solve, and reads at most one weight,
+a finite positive real number.  ``BehavioralModelSpec`` reads the table to check, solve
+and serialize a model, and the single-reward functions are its N=1 case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .mdp import (
     TabularMdp,
     check_reward,
     expected_reward,
+    is_finite_real,
     optimal_values_stack,
 )
 
@@ -35,15 +36,16 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).reshape(len(stack), -1).max(axis=1)
 
 
-def _uniform_policies(mdp: TabularMdp, rewards: np.ndarray, kappa: float | None = None) -> np.ndarray:
-    """Uniform-over-optimal policies (N, S, A) of a checked (N, S, A, S) reward stack."""
-    if kappa is not None and kappa < 0:
-        raise InvalidInstance("kappa must be nonnegative")
+def _uniform_policies(mdp: TabularMdp, rewards: np.ndarray) -> np.ndarray:
+    """Uniform-over-optimal policies (N, S, A) of a checked (N, S, A, S) reward stack.
+
+    Each reward's tie tolerance is ``1e-8 * max|Q*|``, floored at the roundoff of
+    ``max|R| / (1 - gamma)`` (a reward the transitions never see has a Q* of pure
+    roundoff, and every action ties): both are relative, so multiples tie alike.
+    """
     _, q = optimal_values_stack(mdp, rewards)
-    if kappa is None:
-        kappa = _kernels.tolerance(1e-8 * _max_abs(q), _max_abs(rewards) / (1 - mdp.discount))
-    best = q.max(axis=2, keepdims=True)
-    support = q >= best - np.reshape(kappa, (-1, 1, 1))
+    kappa = _kernels.tolerance(1e-8 * _max_abs(q), _max_abs(rewards) / (1 - mdp.discount))
+    support = q >= q.max(axis=2, keepdims=True) - np.reshape(kappa, (-1, 1, 1))
     return support / support.sum(axis=2, keepdims=True)
 
 
@@ -57,13 +59,10 @@ def _boltzmann_policies(mdp: TabularMdp, rewards: np.ndarray, beta: float) -> np
 
 
 def _mce_policies(
-    mdp: TabularMdp,
-    rewards: np.ndarray,
-    alpha: float,
-    tol: float = DEFAULT_DP_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
+    mdp: TabularMdp, rewards: np.ndarray, alpha: float, max_iters: int = DEFAULT_MAX_ITERS
 ) -> np.ndarray:
     """Maximal-causal-entropy policies (N, S, A) of a checked (N, S, A, S) reward stack."""
+    tol = DEFAULT_DP_TOL
     v, q, rounds, resid = _kernels.soft_policy_iteration(
         expected_reward(mdp, rewards), mdp.transition, mdp.discount, alpha, tol, max_iters
     )
@@ -72,46 +71,46 @@ def _mce_policies(
     return policy / policy.sum(axis=2, keepdims=True)
 
 
-def optimal_policy_uniform(mdp: TabularMdp, reward: np.ndarray, kappa: float | None = None) -> np.ndarray:
-    """Uniform distribution over the near-argmax actions of the optimal Q-values.
+class _ModelKind(NamedTuple):
+    """A kind's stacked ``policies(mdp, rewards[, weight])`` and the name of the weight it reads."""
 
-    The tie tolerance ``kappa`` defaults to ``1e-8 * max|Q*|``, so that
-    floating-point near-ties are treated as exact ties, floored at the
-    roundoff of ``max|R| / (1 - gamma)``, the largest |Q*| the reward allows:
-    a reward the transitions never see has a Q* of pure roundoff, and every
-    action ties.  Both terms are relative, so a reward and its positive
-    multiples get the same policy.  In a stack each reward gets its own.
-    """
-    return _uniform_policies(mdp, check_reward(mdp, reward)[None], kappa)[0]
+    policies: Callable
+    weight: str | None = None
 
 
-def boltzmann_policy(mdp: TabularMdp, reward: np.ndarray, beta: float) -> np.ndarray:
-    """Per-state softmax of ``beta * Q*``, computed with max-subtraction."""
-    if beta <= 0:
-        raise InvalidInstance("beta must be positive")
-    return _boltzmann_policies(mdp, check_reward(mdp, reward)[None], beta)[0]
+MODEL_KINDS = {
+    "optimal_uniform": _ModelKind(_uniform_policies),
+    "boltzmann": _ModelKind(_boltzmann_policies, "beta"),
+    "mce": _ModelKind(_mce_policies, "alpha"),
+}
 
 
-def mce_policy(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    alpha: float,
-    tol: float = DEFAULT_DP_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> np.ndarray:
-    """Maximal-causal-entropy policy: exp((Q - V)/alpha) at the soft fixed point."""
-    if alpha <= 0:
-        raise InvalidInstance("alpha must be positive")
-    return _mce_policies(mdp, check_reward(mdp, reward)[None], alpha, tol, max_iters)[0]
+def model_kind(kind, path: str = "model.kind") -> _ModelKind:
+    if not (isinstance(kind, str) and kind in MODEL_KINDS):
+        raise InvalidInstance(f"{path}: unknown model kind {kind!r}; expected one of {sorted(MODEL_KINDS)}")
+    return MODEL_KINDS[kind]
+
+
+def check_weight(value, path: str) -> None:
+    if not (is_finite_real(value) and value > 0):
+        raise InvalidInstance(f"{path}: must be a finite positive number, got {value!r}")
+
+
+def check_model_document(data, path: str = "model") -> None:
+    """Refuse a model document that is not an object holding a known kind and only the weight it reads."""
+    if not isinstance(data, dict):
+        raise InvalidInstance(f"{path}: must be an object with a model 'kind' and the weight it reads")
+    weight = model_kind(data.get("kind"), f"{path}.kind").weight
+    extra = [key for key in data if key not in ("kind", weight)]
+    if extra:
+        raise InvalidInstance(f"{path}.{extra[0]}: not read by the {data['kind']!r} model")
+    if weight:
+        check_weight(data.get(weight), f"{path}.{weight}")
 
 
 @dataclass(frozen=True)
 class BehavioralModelSpec:
-    """A named behavioural model bound to an environment.
-
-    ``kind`` is one of ``optimal_uniform``, ``boltzmann`` (with ``beta``), or
-    ``mce`` (with ``alpha``).
-    """
+    """A model of a ``MODEL_KINDS`` kind bound to an environment; only the kind's weight is read."""
 
     kind: str
     environment: TabularMdp
@@ -119,47 +118,48 @@ class BehavioralModelSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind == "optimal_uniform":
-            pass
-        elif self.kind == "boltzmann":
-            if self.beta is None or self.beta <= 0:
-                raise InvalidInstance("boltzmann model requires beta > 0")
-        elif self.kind == "mce":
-            if self.alpha is None or self.alpha <= 0:
-                raise InvalidInstance("mce model requires alpha > 0")
-        else:
-            raise InvalidInstance(f"unknown model kind {self.kind!r}")
+        check_model_document(self.to_dict())
+
+    @property
+    def _weights(self) -> dict:
+        weight = model_kind(self.kind).weight
+        return {weight: getattr(self, weight)} if weight else {}
 
     def policies(self, rewards: np.ndarray) -> np.ndarray:
         """The model's policies, (N, S, A), of a checked (N, S, A, S) reward stack.
 
         One stacked solve; policy i depends on reward i alone, bit for bit.
         """
-        if self.kind == "optimal_uniform":
-            return _uniform_policies(self.environment, rewards)
-        if self.kind == "boltzmann":
-            return _boltzmann_policies(self.environment, rewards, self.beta)
-        return _mce_policies(self.environment, rewards, self.alpha)
+        return MODEL_KINDS[self.kind].policies(self.environment, rewards, **self._weights)
 
     def __call__(self, reward: np.ndarray) -> np.ndarray:
         return self.policies(check_reward(self.environment, reward)[None])[0]
 
     def to_dict(self) -> dict:
-        if self.kind == "boltzmann":
-            return {"kind": "boltzmann", "beta": self.beta}
-        if self.kind == "mce":
-            return {"kind": "mce", "alpha": self.alpha}
-        return {"kind": "optimal_uniform"}
+        return {"kind": self.kind, **self._weights}
 
     @classmethod
     def from_dict(cls, data: dict, environment: TabularMdp) -> "BehavioralModelSpec":
-        kind = data.get("kind")
-        return cls(
-            kind=kind,
-            environment=environment,
-            beta=data.get("beta"),
-            alpha=data.get("alpha"),
-        )
+        check_model_document(data)
+        return cls(environment=environment, **data)
+
+
+def optimal_policy_uniform(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
+    """Uniform distribution over the near-argmax actions of the optimal Q-values, ties relative to scale."""
+    return BehavioralModelSpec("optimal_uniform", mdp)(reward)
+
+
+def boltzmann_policy(mdp: TabularMdp, reward: np.ndarray, beta: float) -> np.ndarray:
+    """Per-state softmax of ``beta * Q*``, computed with max-subtraction."""
+    return BehavioralModelSpec("boltzmann", mdp, beta=beta)(reward)
+
+
+def mce_policy(
+    mdp: TabularMdp, reward: np.ndarray, alpha: float, max_iters: int = DEFAULT_MAX_ITERS
+) -> np.ndarray:
+    """Maximal-causal-entropy policy: exp((Q - V)/alpha) at the soft fixed point."""
+    check_weight(alpha, "alpha")
+    return _mce_policies(mdp, check_reward(mdp, reward)[None], alpha, max_iters)[0]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import InvalidInstance, TabularMdp, load_mdp, load_reward, random_mdp, random_reward
+from .mdp import InvalidInstance, TabularMdp, is_finite_real, load_mdp, load_reward, random_mdp, random_reward
 from .metric import starc_distance
 from .models import BehavioralModelSpec
 from .oracles import same_order_oracle
@@ -76,19 +76,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    return (_is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
-
-
 # What each generator-spec value must be.  A seed must be given as an
 # integer: ``None`` would draw an unseeded, unreproducible instance.
 _SPEC_VALUES = {
     "seed": ("an integer", _is_int),
     "n_states": ("a positive integer", lambda value: _is_int(value) and value > 0),
     "n_actions": ("a positive integer", lambda value: _is_int(value) and value > 0),
-    "concentration": ("a finite number", _is_finite),
-    "discount": ("a finite number", _is_finite),
-    "scale": ("a finite number", _is_finite),
+    "concentration": ("a finite number", is_finite_real),
+    "discount": ("a finite number", is_finite_real),
+    "scale": ("a finite number", is_finite_real),
 }
 
 

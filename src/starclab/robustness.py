@@ -30,7 +30,7 @@ from .mdp import (
     reward_stack,
 )
 from .metric import canonicalize, distance_table, pairwise_norms, standardize, starc_distance
-from .models import BehavioralModelSpec, ModelTable, optimal_policy_uniform
+from .models import MODEL_KINDS, BehavioralModelSpec, ModelTable, optimal_policy_uniform
 from .transforms import (
     Nudge,
     Redistribution,
@@ -464,14 +464,14 @@ def perturbation_counterexample(
     so both rewards have norm c, and eps is found by bisection so the policy
     gap under a continuous behavioural model lands in [delta/2, delta].
     """
-    if model_kind not in {"boltzmann", "mce"}:
-        raise InvalidInstance("perturbation counterexamples need a continuous model (boltzmann or mce)")
+    spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
+    if MODEL_KINDS[model_kind].weight is None:
+        raise InvalidInstance(f"perturbation counterexamples need a continuous model, not {model_kind!r}")
     if c <= 0:
         raise InvalidInstance("c must be positive")
     if delta <= 0:
         raise InvalidInstance("delta must be positive")
     metric = policy_metric or PolicyMetricSpec("l2")
-    spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
 
     unit = None
     for attempt in range(20):
@@ -536,16 +536,10 @@ def separation_witness_search(
         raise InvalidInstance("budget must be at least 1")
     if epsilon >= 1.0:
         return None  # distances never exceed 1
-    if delta > 0 and model.kind in {"boltzmann", "mce"}:
+    if delta > 0 and MODEL_KINDS[model.kind].weight is not None:
         try:
             cert = perturbation_counterexample(
-                mdp,
-                model_kind=model.kind,
-                beta=model.beta,
-                alpha=model.alpha,
-                delta=delta,
-                policy_metric=policy_metric,
-                seed=seed,
+                mdp, model.kind, model.beta, model.alpha, delta=delta, policy_metric=policy_metric, seed=seed
             )
         except InvalidInstance:
             pass

@@ -135,7 +135,8 @@ def regret_gap(
 
     Maximizes (J1(pi_1) - J1(pi_2)) / (max J1 - min J1) over deterministic
     policy pairs with J2(pi_2) >= J2(pi_1).  Returns 0 with no witness when
-    reward 1 is trivial on deterministic policies (range below 1e-12).
+    reward 1 is trivial on deterministic policies: their returns' range is
+    within 1e-10 times the largest |return| (``oracles.SIGN_BAND``).
     """
     reward_1 = check_reward(mdp, reward_1)
     reward_2 = check_reward(mdp, reward_2)

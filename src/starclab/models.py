@@ -164,9 +164,21 @@ def mce_policy(
 
 @dataclass(frozen=True)
 class ModelTable:
-    """A behavioural model materialized over a finite list of rewards."""
+    """A behavioural model materialized over a finite list of rewards: finite (S, A) policies of one shape."""
 
     entries: tuple[tuple[str, np.ndarray], ...]
+
+    def __post_init__(self):
+        try:
+            valid = self.policies.ndim == 3 and np.isfinite(self.policies).all()
+        except ValueError:  # no entries, or policies of mixed shapes
+            valid = False
+        if not valid:
+            shape = np.shape(self.entries[0][1]) if self.entries else None
+            for rid, policy in self.entries:
+                if np.ndim(policy) != 2 or np.shape(policy) != shape or not np.isfinite(policy).all():
+                    raise InvalidInstance(f"policy {rid!r} must be finite, of the first policy's (S, A) shape {shape}")
+            raise InvalidInstance("a model table needs at least one policy")
 
     def policy(self, reward_id: str) -> np.ndarray:
         for rid, pol in self.entries:
@@ -179,9 +191,13 @@ class ModelTable:
         return tuple(rid for rid, _ in self.entries)
 
     @cached_property
+    def policies(self) -> np.ndarray:
+        """The policies as one (n, S, A) array, in entry order; ``flat`` is its (n, S*A) view."""
+        return np.stack([policy for _, policy in self.entries])
+
+    @property
     def flat(self) -> np.ndarray:
-        """The policies as one (n, S*A) array, in entry order."""
-        return np.stack([policy.ravel() for _, policy in self.entries])
+        return self.policies.reshape(len(self.policies), -1)
 
 
 def materialize_model(

@@ -230,11 +230,12 @@ def regret_witness_search(
 
     Finds deterministic policies (pi_1, pi_2) with J2(pi_2) >= J2(pi_1)
     maximizing (J1(pi_1) - J1(pi_2)) / (max J1 - min J1).  Returns (0, None)
-    when reward 1's deterministic return range is below 1e-12.
+    when reward 1's deterministic return range is within ``SIGN_BAND`` times
+    its largest |return|, the oracles' tie band: such a range is roundoff.
     """
     j1, j2 = _deterministic_returns(mdp, _expected_rewards(mdp, reward_1, reward_2), cap)
     j1_range = j1.max() - j1.min()
-    if j1_range < 1e-12:
+    if j1_range <= SIGN_BAND * np.abs(j1).max():
         return 0.0, None
     best_regret, best_pair = _regret_witness(j1, j2)
     if best_pair is None:

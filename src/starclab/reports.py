@@ -20,7 +20,7 @@ import numpy as np
 
 from .mdp import InvalidInstance, TabularMdp, is_finite_real, load_mdp, load_reward, random_mdp, random_reward
 from .metric import starc_distance
-from .models import BehavioralModelSpec
+from .models import BehavioralModelSpec, check_model_document, check_weight, model_kind
 from .oracles import same_order_oracle
 from .robustness import (
     CounterexampleCertificate,
@@ -55,6 +55,9 @@ class ExperimentConfig:
                     what, valid = _SPEC_VALUES[key]
                     if not valid(value):
                         raise InvalidInstance(f"params.{name}.{key}: must be {what}, got {value!r}")
+        for key, check in _MODEL_OPTIONS.items():
+            if key in self.params:
+                check(self.params[key], f"params.{key}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params}
@@ -86,6 +89,10 @@ _SPEC_VALUES = {
     "discount": ("a finite number", is_finite_real),
     "scale": ("a finite number", is_finite_real),
 }
+
+
+# How each model option is checked: by the rules of ``models``, before any solve.
+_MODEL_OPTIONS = {"model": check_model_document, "model_kind": model_kind, "beta": check_weight, "alpha": check_weight}
 
 
 def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:

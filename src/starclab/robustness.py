@@ -135,6 +135,10 @@ class _Tables:
         ids = hypotheses.ids
         if f.ids != ids or g.ids != ids:
             raise InvalidInstance("f, g, and the hypothesis set must share the same reward ids")
+        shape = (mdp_eval.n_states, mdp_eval.n_actions)
+        for name, table in (("f", f), ("g", g)):
+            if table.policies.shape[1:] != shape:
+                raise InvalidInstance(f"{name} policies have shape {table.policies.shape[1:]}, not mdp_eval's {shape}")
         return cls(ids, _pair_distances(mdp_eval, hypotheses), _policy_gaps(f, g), _policy_gaps(f, f))
 
     def violations(self, epsilon: float, eta: float) -> list[dict]:

@@ -144,6 +144,16 @@ class TestRegretGap:
         assert regret == 0.0
         assert witness is None
 
+    def test_triviality_guard_is_relative(self):
+        # Negation has full regret, and pure shaping is trivial, at every scale.
+        mdp = random_mdp(24, 3, 2)
+        reward = random_reward(25, 3, 2)
+        shaping = apply_potential_shaping(mdp, np.zeros((3, 2, 3)), np.array([1.0, -2.0, 0.5]))
+        for scale in (1e-14, 1e-13, 1e-9, 1.0, 1e3, 1e6, 1e9, 1e12):
+            regret, witness = regret_gap(mdp, scale * reward, -scale * reward)
+            assert regret == pytest.approx(1.0, abs=1e-8) and witness is not None, scale
+            assert regret_gap(mdp, scale * shaping, reward) == (0.0, None), scale
+
     def test_zero_distance_forbids_regret(self):
         mdp = random_mdp(26, 3, 2)
         reward = random_reward(27, 3, 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from starclab import (
     random_mdp,
     random_reward,
 )
+from starclab.models import MODEL_KINDS, ModelTable
 from starclab.oracles import enumerate_deterministic_policies
 
 
@@ -147,3 +149,76 @@ class TestSpecAndMaterialize:
         bad = np.full((4, 3, 4), np.nan)
         with pytest.raises(InvalidInstance, match="bad-reward"):
             materialize_model(spec, [("bad-reward", bad)])
+
+
+class TestModelKinds:
+    WEIGHTS = {"optimal_uniform": {}, "boltzmann": {"beta": 2.5}, "mce": {"alpha": 0.7}}
+
+    def test_every_kind_round_trips_and_solves_as_its_function(self, mdp_4x3, reward_4x3):
+        singles = {
+            "optimal_uniform": lambda: optimal_policy_uniform(mdp_4x3, reward_4x3),
+            "boltzmann": lambda: boltzmann_policy(mdp_4x3, reward_4x3, 2.5),
+            "mce": lambda: mce_policy(mdp_4x3, reward_4x3, 0.7),
+        }
+        assert set(MODEL_KINDS) == set(self.WEIGHTS) == set(singles)
+        for kind, weights in self.WEIGHTS.items():
+            spec = BehavioralModelSpec(kind, mdp_4x3, **weights)
+            assert spec.to_dict() == {"kind": kind, **weights}
+            assert BehavioralModelSpec.from_dict(spec.to_dict(), mdp_4x3) == spec
+            assert np.array_equal(spec(reward_4x3), singles[kind]())
+
+    def test_weight_rule(self, mdp_4x3, reward_4x3):
+        # A weight is a finite positive real number: not a bool, a string, NaN,
+        # an infinity, zero, a negative number or an int beyond the float range.
+        for bad in (True, False, "2", None, math.nan, math.inf, 0, 0.0, -4, 10**400, np.float64(-1.0)):
+            with pytest.raises(InvalidInstance, match="model.beta: must be a finite positive number"):
+                BehavioralModelSpec("boltzmann", mdp_4x3, beta=bad)
+            with pytest.raises(InvalidInstance, match="model.alpha: must be a finite positive number"):
+                BehavioralModelSpec("mce", mdp_4x3, alpha=bad)
+            with pytest.raises(InvalidInstance, match="beta"):
+                boltzmann_policy(mdp_4x3, reward_4x3, bad)
+            with pytest.raises(InvalidInstance, match="alpha"):
+                mce_policy(mdp_4x3, reward_4x3, bad)
+        for good in (1, 2.5, np.int64(3), np.float32(0.5), 1e-300):
+            BehavioralModelSpec("boltzmann", mdp_4x3, beta=good)
+        # A weight the kind does not read is neither checked nor serialized.
+        spec = BehavioralModelSpec("mce", mdp_4x3, beta=-4, alpha=1.0)
+        assert spec.to_dict() == {"kind": "mce", "alpha": 1.0}
+
+    def test_from_dict_refuses_malformed_documents(self, mdp_4x3):
+        for data, path in (
+            ("boltzmann", "model:"),
+            (None, "model:"),
+            ({"beta": 1.0}, "model.kind: unknown model kind None"),
+            ({"kind": "mystery"}, "model.kind: unknown model kind 'mystery'"),
+            ({"kind": ["boltzmann"]}, "model.kind: unknown model kind"),
+            ({"kind": "boltzmann", "beta": 1.0, "temperature": 2.0}, "model.temperature: not read"),
+            ({"kind": "mce", "alpha": 1.0, "beta": 1.0}, "model.beta: not read"),
+            ({"kind": "optimal_uniform", "alpha": 1.0}, "model.alpha: not read"),
+            ({"kind": "boltzmann"}, "model.beta: must be"),
+            ({"kind": "mce", "alpha": "1"}, "model.alpha: must be"),
+        ):
+            with pytest.raises(InvalidInstance, match=re.escape(path)):
+                BehavioralModelSpec.from_dict(data, mdp_4x3)
+
+
+class TestModelTable:
+    def test_refuses_non_finite_policies_naming_the_id(self, mdp_4x3, reward_4x3):
+        policy = boltzmann_policy(mdp_4x3, reward_4x3, 1.0)
+        for bad in (np.nan, np.inf):
+            broken = policy.copy()
+            broken[2, 1] = bad
+            with pytest.raises(InvalidInstance, match="policy 'c' must be finite"):
+                ModelTable((("a", policy), ("b", policy), ("c", broken)))
+
+    def test_refuses_policies_not_2d_or_of_mixed_shapes(self, mdp_4x3, reward_4x3):
+        policy = boltzmann_policy(mdp_4x3, reward_4x3, 1.0)
+        for bad in (policy.ravel(), policy[None], policy.T, policy[:3]):
+            with pytest.raises(InvalidInstance, match="policy 'b'"):
+                ModelTable((("a", policy), ("b", bad)))
+        with pytest.raises(InvalidInstance, match="policy 'a'"):
+            ModelTable((("a", policy.ravel()), ("b", policy.ravel())))
+        with pytest.raises(InvalidInstance, match="at least one policy"):
+            ModelTable(())
+        table = ModelTable((("a", policy), ("b", 2 * policy)))
+        assert table.policies.shape == (2, 4, 3) and table.flat.shape == (2, 12)

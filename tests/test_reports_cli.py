@@ -320,6 +320,31 @@ class TestCli:
             assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION
             assert path in capsys.readouterr().err
 
+    def test_bad_model_params_exit_validation_before_running(self, tmp_path, capsys, monkeypatch):
+        def run_experiment(config):
+            raise AssertionError("a bad model parameter reached the solver")
+
+        monkeypatch.setattr("starclab.cli.run_experiment", run_experiment)
+        config = tmp_path / "config.json"
+        for kind, params, path in (
+            ("models-eval", '{"model": {"kind": "boltzmann", "beta": 1, "temperature": 2}}', "params.model.temperature"),
+            ("models-eval", '{"model": {"kind": "boltzmann", "beta": true}}', "params.model.beta"),
+            ("counterexample-gamma", '{"beta": true}', "params.beta"),
+            ("models-eval", '{"model": {"kind": "mce", "alpha": 1, "beta": -4}}', "params.model.beta"),
+            ("counterexample-tau", '{"model_kind": "mce", "beta": -4}', "params.beta"),
+            ("models-eval", '{"model": {"kind": "boltzmann", "beta": "2"}}', "params.model.beta"),
+            ("models-eval", '{"model": "boltzmann"}', "params.model"),
+            ("counterexample-gamma", '{"beta": "x"}', "params.beta"),
+            ("models-eval", '{"model": {"kind": "boltzmann", "beta": NaN}}', "params.model.beta"),
+            ("counterexample-perturb", '{"beta": NaN}', "params.beta"),
+            ("models-eval", '{"model": {"kind": "boltzmann", "beta": 1e400}}', "params.model.beta"),
+            ("gridworld-demo", '{"alpha": 1e400}', "params.alpha"),
+            ("counterexample-gamma", '{"model_kind": "softmax"}', "params.model_kind"),
+        ):
+            config.write_text(f'{{"kind": "{kind}", "params": {params}}}')
+            assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params
+            assert f"validation error: {path}:" in capsys.readouterr().err, params
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps({"kind": "not-a-kind"}))

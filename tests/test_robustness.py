@@ -30,7 +30,7 @@ from starclab import (
     two_epsilon_lemma_check,
     verify_transformation_bound,
 )
-from starclab.mdp import expected_reward
+from starclab.mdp import expected_reward, occupancy_measure
 from starclab.models import ModelTable
 from starclab.robustness import nudge_bound
 from starclab.transforms import (
@@ -83,6 +83,27 @@ class TestChecker:
         other_hyp = HypothesisSet((("p", hyp.reward("x")), ("q", hyp.reward("x2"))))
         with pytest.raises(InvalidInstance, match="same reward ids"):
             check_epsilon_robust(f, g, other_hyp, mdp_4x3, epsilon=0.1)
+
+    def test_non_finite_policy_refused_before_the_checker(self, mdp_4x3):
+        # A NaN policy compares false with everything, so the checker would
+        # report no condition-3 violation for it and a finite epsilon.
+        hyp = HypothesisSet(tuple((rid, random_reward(70 + i, 4, 3)) for i, rid in enumerate("abc")))
+        f = materialize_model(BehavioralModelSpec("boltzmann", mdp_4x3, beta=1.0), list(hyp.rewards))
+        with pytest.raises(InvalidInstance, match="policy 'c' must be finite"):
+            ModelTable((("a", f.policy("a")), ("b", f.policy("b")), ("c", np.full((4, 3), np.nan))))
+
+    def test_policies_not_shaped_like_mdp_eval_refused(self, mdp_4x3):
+        # (A, S) tables on an S=4, A=3 MDP; the ids and distances are all fine.
+        hyp, f, g = _swap_tables(mdp_4x3)
+        f_t = ModelTable(tuple((rid, policy.T) for rid, policy in f.entries))
+        g_t = ModelTable(tuple((rid, policy.T) for rid, policy in g.entries))
+        for f_in, g_in, which in ((f_t, g_t, "f"), (f, g_t, "g"), (f_t, g, "f")):
+            with pytest.raises(InvalidInstance, match=rf"{which} policies have shape \(3, 4\), not mdp_eval's \(4, 3\)"):
+                check_epsilon_robust(f_in, g_in, hyp, mdp_4x3, epsilon=0.0)
+            with pytest.raises(InvalidInstance, match="not mdp_eval's"):
+                min_robust_epsilon(f_in, g_in, hyp, mdp_4x3)
+            with pytest.raises(InvalidInstance, match="not mdp_eval's"):
+                two_epsilon_lemma_check(f_in, g_in, hyp, mdp_4x3, epsilon=0.0)
 
     def test_verdict_serializes(self, mdp_4x3):
         hyp, f, g = _swap_tables(mdp_4x3)
@@ -434,3 +455,36 @@ class TestOptimalityWitness:
     def test_excluded_size_rejected(self, one_state_mdp):
         with pytest.raises(InvalidInstance, match="no witness exists"):
             optimality_nonrobustness_witness(one_state_mdp(2))
+
+
+class TestOccupancyMetric:
+    @staticmethod
+    def _occupancy(mdp, policy, steps=800):
+        """Discounted (s, a, s') visitation by summing the state distribution's powers."""
+        state, total = mdp.initial_dist.copy(), np.zeros(mdp.transition.shape)
+        for t in range(steps):
+            total += mdp.discount**t * state[:, None, None] * policy[:, :, None] * mdp.transition
+            state = np.einsum("s,sa,sat->t", state, policy, mdp.transition)
+        return total
+
+    def test_equals_norm_of_occupancy_difference(self, mdp_4x3):
+        metric = PolicyMetricSpec("occupancy_l2")
+        rng = np.random.default_rng(80)
+        for _ in range(5):
+            p_1, p_2 = rng.dirichlet(np.ones(3), size=(2, 4))
+            want = np.linalg.norm(self._occupancy(mdp_4x3, p_1) - self._occupancy(mdp_4x3, p_2))
+            assert metric.distance(mdp_4x3, p_1, p_2) == pytest.approx(want, rel=1e-9)
+            assert occupancy_measure(mdp_4x3, p_1).sum() == pytest.approx(1 / (1 - mdp_4x3.discount))
+
+    def test_zero_for_identical_policies(self, mdp_4x3):
+        policy = np.random.default_rng(81).dirichlet(np.ones(3), size=4)
+        assert PolicyMetricSpec("occupancy_l2").distance(mdp_4x3, policy, policy.copy()) == 0.0
+
+    def test_perturbation_certificate_verifies(self, mdp_4x3):
+        metric = PolicyMetricSpec("occupancy_l2")
+        cert = perturbation_counterexample(mdp_4x3, beta=1.0, delta=1e-2, policy_metric=metric, seed=3)
+        assert cert.policy_metric == "occupancy_l2"
+        assert 0.0 < cert.policy_gap <= 1e-2
+        assert cert.distance == pytest.approx(1.0, abs=1e-6)
+        assert cert.verify()
+        assert CounterexampleCertificate.from_dict(cert.to_dict()).verify()

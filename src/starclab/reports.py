@@ -92,7 +92,12 @@ _SPEC_VALUES = {
 
 
 # How each model option is checked: by the rules of ``models``, before any solve.
-_MODEL_OPTIONS = {"model": check_model_document, "model_kind": model_kind, "beta": check_weight, "alpha": check_weight}
+_MODEL_OPTIONS = {
+    "model": check_model_document,
+    "model_kind": model_kind,
+    "beta": check_weight,
+    "alpha": check_weight,
+}
 
 
 def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:

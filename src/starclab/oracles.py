@@ -51,11 +51,15 @@ def deterministic_policy(mdp: TabularMdp, index: int) -> np.ndarray:
     return policy
 
 
+def _deterministic_actions(mdp: TabularMdp, size: int) -> np.ndarray:
+    """The actions, (size, S), of the first ``size`` deterministic policies in ``deterministic_policy`` order."""
+    digits = mdp.n_actions ** np.arange(mdp.n_states)
+    return (np.arange(size)[:, None] // digits) % mdp.n_actions
+
+
 def _deterministic_policies(mdp: TabularMdp, size: int) -> np.ndarray:
     """The first ``size`` deterministic policies, (size, S, A), in ``deterministic_policy`` order."""
-    digits = mdp.n_actions ** np.arange(mdp.n_states)
-    actions = (np.arange(size)[:, None] // digits) % mdp.n_actions
-    return np.eye(mdp.n_actions)[actions]
+    return np.eye(mdp.n_actions)[_deterministic_actions(mdp, size)]
 
 
 def enumerate_deterministic_policies(mdp: TabularMdp, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
@@ -76,9 +80,17 @@ def _stacked_returns(
 
 
 def _deterministic_returns(mdp: TabularMdp, expected: np.ndarray, cap: int) -> np.ndarray:
-    """(k, A^S) returns of every deterministic policy under k expected rewards."""
-    policies = _deterministic_policies(mdp, _policy_space_size(mdp, cap))
-    return _stacked_returns(mdp, policies, expected)
+    """(k, A^S) returns of every deterministic policy under k expected rewards.
+
+    The same solve as ``_stacked_returns`` of the one-hot policies, with the
+    policies' rows gathered instead of summed: the one-hot sums only add
+    exact zeros, so the bits are the same.
+    """
+    actions = _deterministic_actions(mdp, _policy_space_size(mdp, cap))
+    states = np.arange(mdp.n_states)
+    system = np.eye(mdp.n_states) - mdp.discount * mdp.transition[states, actions]
+    v = np.linalg.solve(system, np.moveaxis(expected[:, states, actions], 0, -1))
+    return np.einsum("s,nsk->kn", mdp.initial_dist, v)
 
 
 def _expected_rewards(mdp: TabularMdp, *rewards: np.ndarray) -> np.ndarray:
@@ -91,6 +103,64 @@ def _signs(diffs: np.ndarray, band: float) -> np.ndarray:
     return signs
 
 
+def _ties(diffs: np.ndarray, band: float) -> np.ndarray:
+    """Where ``_signs`` gives 0: |d| < band, or d = 0 (the only tie when band is 0)."""
+    return (np.abs(diffs) < band) | (diffs == 0)
+
+
+def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of each nonempty ``values[starts[i]:stops[i]]``, from a sparse table."""
+    n = len(values)
+    # Level j holds the extremes of the blocks of width 2^j; two blocks cover a range.
+    low, high = np.empty((n.bit_length(), n)), np.empty((n.bit_length(), n))
+    low[0] = high[0] = values
+    for j in range(1, n.bit_length()):
+        width = 1 << (j - 1)
+        low[j], high[j] = low[j - 1], high[j - 1]
+        np.minimum(low[j - 1, :-width], low[j - 1, width:], out=low[j, :-width])
+        np.maximum(high[j - 1, :-width], high[j - 1, width:], out=high[j, :-width])
+    level = np.frexp(stops - starts)[1] - 1
+    ends = stops - (1 << level)
+    return np.minimum(low[level, starts], low[level, ends]), np.maximum(high[level, starts], high[level, ends])
+
+
+def _same_signs(j1: np.ndarray, j2: np.ndarray, band_1: float, band_2: float) -> bool:
+    """True iff ``_signs`` of all pairwise differences of j1 (band_1) and j2 (band_2) agree.
+
+    The same verdict as the n x n tables, in O(n log n) by sorting on j1.
+    Rounding is monotone, so for fixed i the difference fl(x - x_i) never
+    decreases in x; and fl(a - b) = -fl(b - a), so the pairs i < k in j1
+    order settle every pair.  For each i, the later k whose J1 difference
+    ties (|d| < band_1, or d = 0) form a window right after i, and the rest
+    a suffix where J1 strictly rises.  The window must tie under J2, which
+    its J2 minimum and maximum decide, since the ties are an interval of d;
+    the suffix must strictly rise under J2, which its J2 minimum decides.
+    So the tie band needs no transitivity.
+    """
+    if not (np.isfinite(j1).all() and np.isfinite(j2).all()):
+        return False  # inf - inf, on the diagonal at least, is NaN: no sign matches it
+    order = np.argsort(j1, kind="stable")
+    a, b = j1[order], j2[order]
+    n = len(a)
+    # stop[i]: the first k > i where J1 strictly rises over a[i], or n; a
+    # binary search per i, exact because the rise is monotone in k.
+    start = np.arange(1, n + 1)
+    lo, hi = start, np.full(n, n)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        rises = ~_ties(a[np.minimum(mid, n - 1)] - a, band_1)  # the difference is >= 0
+        hi = np.where(open_ & rises, mid, hi)
+        lo = np.where(open_ & ~rises, mid + 1, lo)
+    stop = lo
+    tail = stop < n
+    d = np.minimum.accumulate(b[::-1])[::-1][stop[tail]] - b[tail]
+    if not ((d > 0) & ~_ties(d, band_2)).all():
+        return False
+    window = start < stop
+    low, high = _range_extremes(b, start[window], stop[window])
+    return bool((_ties(low - b[window], band_2) & _ties(high - b[window], band_2)).all())
+
+
 def same_order_oracle(
     mdp: TabularMdp,
     reward_1: np.ndarray,
@@ -100,21 +170,18 @@ def same_order_oracle(
 ) -> bool:
     """True iff the two rewards rank every tested policy pair the same way.
 
-    Checks all enumerated deterministic policy pairs plus 200 seeded random
-    stochastic pairs.  Under each reward, return differences within
-    ``SIGN_BAND`` times its largest deterministic |return| count as ties, so
-    the verdict does not depend on the rewards' scale.  Each policy set is
-    evaluated under both rewards in one stacked solve.
+    Checks all enumerated deterministic policy pairs, by the sort-and-sweep
+    ``_same_signs``, plus 200 seeded random stochastic pairs.  Under each
+    reward, return differences within ``SIGN_BAND`` times its largest
+    deterministic |return| count as ties, so the verdict does not depend on
+    the rewards' scale.  Each policy set is evaluated under both rewards in
+    one stacked solve.
     """
     expected = _expected_rewards(mdp, reward_1, reward_2)
     j1, j2 = _deterministic_returns(mdp, expected, cap)
     band_1, band_2 = SIGN_BAND * np.abs(j1).max(), SIGN_BAND * np.abs(j2).max()
-    chunk = 256
-    for start in range(0, len(j1), chunk):
-        d1 = j1[start : start + chunk, None] - j1[None, :]
-        d2 = j2[start : start + chunk, None] - j2[None, :]
-        if (_signs(d1, band_1) != _signs(d2, band_2)).any():
-            return False
+    if not _same_signs(j1, j2, band_1, band_2):
+        return False
     # Pair i is (policies[2i], policies[2i + 1]): the draws of a per-pair loop.
     rng = np.random.default_rng(seed)
     policies = rng.dirichlet(np.ones(mdp.n_actions), size=(2 * N_STOCHASTIC_PAIRS, mdp.n_states))

@@ -52,9 +52,10 @@ class ExperimentConfig:
             if name in self.params:
                 _check_keys(f"params.{name}", self.params[name], keys, f"a {generator} spec")
                 for key, value in self.params[name].items():
-                    what, valid = _SPEC_VALUES[key]
-                    if not valid(value):
-                        raise InvalidInstance(f"params.{name}.{key}: must be {what}, got {value!r}")
+                    _check_value(f"params.{name}.{key}", value, _SPEC_VALUES[key])
+        for key, rule in _OPTION_VALUES.items():
+            if key in self.params:
+                _check_value(f"params.{key}", self.params[key], rule)
         for key, check in _MODEL_OPTIONS.items():
             if key in self.params:
                 check(self.params[key], f"params.{key}")
@@ -79,15 +80,39 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_value(path: str, value, rule: tuple[str, Callable]) -> None:
+    what, valid = rule
+    if not valid(value):
+        raise InvalidInstance(f"{path}: must be {what}, got {value!r}")
+
+
 # What each generator-spec value must be.  A seed must be given as an
-# integer: ``None`` would draw an unseeded, unreproducible instance.
+# integer: ``None`` would draw an unseeded, unreproducible instance, and
+# numpy refuses a negative one.
+_SEED = ("a non-negative integer", lambda value: _is_int(value) and value >= 0)
+_FINITE = ("a finite number", is_finite_real)
 _SPEC_VALUES = {
-    "seed": ("an integer", _is_int),
+    "seed": _SEED,
     "n_states": ("a positive integer", lambda value: _is_int(value) and value > 0),
     "n_actions": ("a positive integer", lambda value: _is_int(value) and value > 0),
-    "concentration": ("a finite number", is_finite_real),
-    "discount": ("a finite number", is_finite_real),
-    "scale": ("a finite number", is_finite_real),
+    "concentration": _FINITE,
+    "discount": _FINITE,
+    "scale": _FINITE,
+}
+
+
+_POSITIVE = ("a finite positive number", lambda value: is_finite_real(value) and value > 0)
+
+# What each experiment option other than the model ones must be.  A
+# discount's range, (0, 1), is the environment's own check, by its name.
+_OPTION_VALUES = {
+    "seed": _SEED,
+    "n": ("an integer of at least 2", lambda value: _is_int(value) and value >= 2),
+    "c": _POSITIVE,
+    "delta": _POSITIVE,
+    "gamma": _FINITE,
+    "gamma_1": _FINITE,
+    "gamma_2": _FINITE,
 }
 
 
@@ -111,10 +136,10 @@ def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:
             )
 
 
-def _resolve_mdp(params: dict, prefix: str = "mdp") -> TabularMdp:
+def _resolve_mdp(params: dict, prefix: str, seed: int) -> TabularMdp:
     if f"{prefix}_file" in params:
         return load_mdp(params[f"{prefix}_file"])
-    return random_mdp(**{"seed": 0, "n_states": 4, "n_actions": 3, **params.get(prefix, {})})
+    return random_mdp(**{"seed": seed, "n_states": 4, "n_actions": 3, **params.get(prefix, {})})
 
 
 def _resolve_reward(params: dict, key: str, mdp: TabularMdp) -> np.ndarray:
@@ -140,8 +165,9 @@ class _Kind(NamedTuple):
     ``run`` takes the MDPs, then the rewards (on the first MDP), then the
     options present in the params; an absent option keeps the library's
     default.  Each MDP or reward comes from a generator spec under its name
-    or from a file under its name plus ``_file``.  ``run`` returns the
-    results, or a certificate.
+    or from a file under its name plus ``_file``; an MDP spec's seed
+    defaults to the MDP's index in ``mdps``, so a kind's MDPs differ by
+    default.  ``run`` returns the results, or a certificate.
     """
 
     run: Callable
@@ -183,7 +209,7 @@ EXPERIMENT_KINDS = {
 def run_experiment(config: ExperimentConfig) -> dict:
     start = time.perf_counter()
     kind, params = EXPERIMENT_KINDS[config.kind], config.params
-    mdps = [_resolve_mdp(params, name) for name in kind.mdps]
+    mdps = [_resolve_mdp(params, name, seed) for seed, name in enumerate(kind.mdps)]
     rewards = [_resolve_reward(params, name, mdps[0]) for name in kind.rewards]
     results = kind.run(*mdps, *rewards, **{key: params[key] for key in kind.options if key in params})
     if isinstance(results, CounterexampleCertificate):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mdp import (
+    ConvergenceError,
     InvalidInstance,
     TabularMdp,
     check_reward,
@@ -48,6 +49,11 @@ from .transforms import (
 DEFAULT_ETA = 1e-6
 DIST_TOL = 1e-8
 NUDGE_TOL = 1e-9
+# The most halvings of eps that ``perturbation_counterexample`` solves in one
+# stack.  A float64 keeps 53 bits, so about that many halvings below c the
+# +-eps*R parts are lost in the rounding of the shaping part: the two rewards,
+# and so their policies, coincide, and the gap is 0.
+MAX_RUNGS = 64
 
 
 @dataclass(frozen=True)
@@ -465,8 +471,9 @@ def perturbation_counterexample(
 
     The pair is ``eps*R + S`` and ``-eps*R + S`` where R is canonical with
     unit norm, S is a shaping reward (orthogonal to R by construction) sized
-    so both rewards have norm c, and eps is found by bisection so the policy
-    gap under a continuous behavioural model lands in [delta/2, delta].
+    so both rewards have norm c.  eps is halved from c until the policy gap
+    under a continuous behavioural model is at most delta, then bisected
+    upward so the gap lands in [delta/2, delta].
     """
     spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
     if MODEL_KINDS[model_kind].weight is None:
@@ -492,27 +499,50 @@ def perturbation_counterexample(
         s_part = math.sqrt(max(c * c - eps * eps, 0.0)) * shaping_unit
         return eps * unit + s_part, -eps * unit + s_part
 
-    def gap(eps: float) -> float:
-        # One N=2 solve, the same one ``CounterexampleCertificate.measure`` makes.
-        return metric.distance(mdp, *spec.policies(reward_stack(mdp, build(eps))))
+    def gaps(rungs: list[float]) -> list[float]:
+        # One stacked solve of the rungs' reward pairs.  A pair's policies get
+        # the bits of the N=2 solve that ``CounterexampleCertificate.measure``
+        # makes, whatever else the stack holds.
+        policies = spec.policies(reward_stack(mdp, [r for eps in rungs for r in build(eps)]))
+        return [metric.distance(mdp, *policies[2 * i : 2 * i + 2]) for i in range(len(rungs))]
 
     hi = c * (1.0 - 1e-12)
     eps = hi
-    g = gap(eps)
+    [g] = gaps([eps])
+    # Halve eps until the gap is at most delta.  The halvings are solved as
+    # the rungs of one stack: up to one past the rung where the last gap,
+    # halved per rung, would reach delta, and at most MAX_RUNGS; a further
+    # stack only if no rung qualifies.
     while g > delta:
-        eps /= 2.0
-        if eps < 1e-300:
+        rungs = []
+        while len(rungs) < min(math.log2(g / delta) + 1, MAX_RUNGS):
+            eps /= 2.0
+            if eps < 1e-300:
+                break
+            rungs.append(eps)
+        if not rungs:
             raise InvalidInstance(
                 f"delta = {delta:g} requires eps below 1e-300; cannot represent"
             )
-        g = gap(eps)
+        try:
+            ladder = gaps(rungs)
+        except ConvergenceError as exc:
+            # A rung past the answer must not fail the search: keep the rungs
+            # before the first failing one, which then comes first in the next stack.
+            if exc.item is None or exc.item < 2:
+                raise
+            rungs = rungs[: exc.item // 2]
+            ladder = gaps(rungs)
+        for eps, g in zip(rungs, ladder):
+            if g <= delta:
+                break
     # eps now gives gap <= delta; bisect upward so the gap lands in [delta/2, delta].
     lo, hi_b = eps, min(2.0 * eps, hi)
     for _ in range(200):
         if g >= delta / 2.0:
             break
         mid = 0.5 * (lo + hi_b)
-        g_mid = gap(mid)
+        [g_mid] = gaps([mid])
         if g_mid <= delta:
             lo, g = mid, g_mid
         else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starclab import (
     apply_potential_shaping,
@@ -83,6 +85,54 @@ def _reference_regret_witness(j1, j2):
             best_regret = gap
             best_pair = (int(i), int(order[suffix_argmin[lo]]))
     return best_regret, best_pair
+
+
+def _table_same_signs(j1, j2, band_1, band_2):
+    """The n x n sign tables that ``oracles._same_signs`` replaced."""
+    d1, d2 = j1[:, None] - j1[None, :], j2[:, None] - j2[None, :]
+    return bool((oracles._signs(d1, band_1) == oracles._signs(d2, band_2)).all())
+
+
+def _both_verdicts(*case):
+    """The sort-and-sweep verdict and the tables', where a difference may overflow (or be inf - inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return oracles._same_signs(*case), _table_same_signs(*case)
+
+
+# Arbitrary floats, and a few values with exact duplicates and rounded ties
+# (0.1 + 0.2 against 0.3).
+_RETURN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1.0, 1.0 + 1e-15]),
+)
+
+
+@st.composite
+def _returns_and_bands(draw):
+    """(j1, j2, band_1, band_2) as the oracle would see them, and beyond."""
+    n = draw(st.integers(1, 24))
+    j1 = np.array(draw(st.lists(_RETURN, min_size=n, max_size=n)))
+    mode = draw(st.sampled_from(["free", "affine", "ramp", "rounded", "zero"]))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge j1 may give an infinite j2, and 0 * inf a NaN band
+        # Far from 0, J1's band ties a whole cluster of returns.
+        j1 = j1 + draw(st.sampled_from([0.0, 100.0, -1e4]))
+        if mode == "free":
+            j2 = np.array(draw(st.lists(_RETURN, min_size=n, max_size=n)))
+        elif mode == "affine":
+            # Centred on one of the returns, so J2's band can be narrower than the cluster.
+            j2 = draw(st.floats(-3.0, 3.0)) * (j1 - draw(st.sampled_from(list(j1)))) + draw(st.floats(-1.0, 1.0))
+        elif mode == "ramp":
+            # J2 rises or falls with J1's rank: within a tied J1 cluster, each
+            # step ties under a wide J2 band while the ends of the ramp do not.
+            j2 = draw(st.floats(-1.0, 1.0)) * np.argsort(np.argsort(j1, kind="stable"))
+        elif mode == "rounded":
+            j2 = np.round(j1, draw(st.integers(0, 3)))
+        else:
+            j1 = j2 = np.zeros(n)
+        # Bands from none to wide enough that ties are far from transitive.
+        band_1, band_2 = (draw(st.sampled_from([0.0, 1e-10, 0.05, 0.3])) * np.abs(j).max() for j in (j1, j2))
+    return j1, j2, band_1, band_2
 
 
 def _copy_first_action(mdp, *rewards):
@@ -241,6 +291,53 @@ class TestBatchedOracles:
         with pytest.raises(ConvergenceError) as info:
             same_order_oracle(mdp, reward, 2.0 * reward)
         assert info.value.residual > DEFAULT_DP_TOL
+
+    @settings(max_examples=800, deadline=None)
+    @given(_returns_and_bands())
+    def test_sort_and_sweep_matches_sign_tables(self, case):
+        sweep, tables = _both_verdicts(*case)
+        assert sweep == tables
+
+    def test_sort_and_sweep_edge_cases(self):
+        one, zeros = np.array([2.5]), np.zeros(5)
+        for j1, j2, band_1, band_2 in (
+            (one, -one, 0.0, 0.0),
+            (zeros, zeros, 0.0, 0.0),
+            (zeros, np.array([0.0, 0.0, 1e-300, 0.0, 0.0]), 0.0, 0.0),
+            (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]), 1.5, 1.5),  # 0~1, 1~2, yet 0<2
+            (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.2]), 1.5, 1.5),
+            (100.0 + np.arange(5.0) / 10, np.arange(5.0) / 4, 30.0, 0.3),  # a rising chain of J2 ties
+            (100.0 + np.arange(5.0) / 10, 1.0 - np.arange(5.0) / 4, 30.0, 0.3),  # a falling one
+            (np.array([1.0, np.inf]), np.array([1.0, np.inf]), np.inf, np.inf),
+        ):
+            sweep, tables = _both_verdicts(j1, j2, band_1, band_2)
+            assert sweep == tables, (j1, j2, band_1, band_2)
+
+    def test_no_pairwise_table_at_the_cap(self, monkeypatch):
+        # S=4, A=8: 4096 deterministic policies, the enumeration cap.  Only the
+        # stochastic pairs' differences may reach ``_signs``.
+        sizes, signs = [], oracles._signs
+
+        def spy_signs(diffs, band):
+            sizes.append(diffs.size)
+            return signs(diffs, band)
+
+        monkeypatch.setattr(oracles, "_signs", spy_signs)
+        mdp = random_mdp(41, 4, 8)
+        reward = random_reward(42, 4, 8)
+        assert 8**4 == oracles.DEFAULT_CAP
+        assert same_order_oracle(mdp, reward, 2.0 * apply_potential_shaping(mdp, reward, np.arange(4.0)))
+        assert not same_order_oracle(mdp, reward, -reward)
+        assert sizes and max(sizes) <= oracles.N_STOCHASTIC_PAIRS
+
+    def test_deterministic_returns_match_one_hot_solve_bit_for_bit(self):
+        for i in range(30):
+            n_s, n_a = 1 + i % 6, 1 + i % 4
+            mdp = random_mdp(1200 + i, n_s, n_a, discount=(0.5, 0.9, 0.99)[i % 3])
+            expected = 10.0 ** (i % 7 - 3) * np.random.default_rng(i).standard_normal((2, n_s, n_a))
+            size = n_a**n_s
+            one_hot = oracles._stacked_returns(mdp, oracles._deterministic_policies(mdp, size), expected)
+            assert np.array_equal(oracles._deterministic_returns(mdp, expected, oracles.DEFAULT_CAP), one_hot)
 
     def test_regret_witness_matches_loop(self):
         rng = np.random.default_rng(5)

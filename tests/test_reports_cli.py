@@ -127,6 +127,33 @@ class TestRunExperiment:
         assert set(reports._SPEC_VALUES) == reports._MDP_SPEC | reports._REWARD_SPEC
 
 
+    def test_bare_transition_config_runs_and_verifies(self):
+        # Each MDP's seed defaults to its index, so mdp_1 and mdp_2 differ.
+        report = run_experiment(ExperimentConfig("counterexample-tau"))
+        assert report["results"]["verified"] is True
+        cert = report["results"]["certificate"]
+        assert cert["mdp_gen"] == random_mdp(0, 4, 3).to_dict()
+        assert cert["mdp_eval"] == random_mdp(1, 4, 3).to_dict()
+
+    def test_every_option_has_a_value_rule(self):
+        options = {key for kind in reports.EXPERIMENT_KINDS.values() for key in kind.options}
+        assert options == set(reports._OPTION_VALUES) | set(reports._MODEL_OPTIONS)
+        for path, kind, params in (
+            ("params.seed", "counterexample-optimality", {"seed": -1}),
+            ("params.seed", "same-order", {"seed": True}),
+            ("params.n", "gridworld-demo", {"n": 1}),
+            ("params.c", "counterexample-perturb", {"c": 0.0}),
+            ("params.delta", "counterexample-perturb", {"delta": -1e-2}),
+            ("params.delta", "counterexample-perturb", {"delta": math.inf}),
+            ("params.gamma", "gridworld-demo", {"gamma": None}),
+            ("params.gamma_2", "counterexample-gamma", {"gamma_2": "0.95"}),
+        ):
+            with pytest.raises(InvalidInstance, match=rf"{re.escape(path)}: must be"):
+                ExperimentConfig(kind, params)
+        ExperimentConfig("counterexample-perturb", {"c": 2, "delta": 1e-3, "seed": np.int64(4)})
+        ExperimentConfig("gridworld-demo", {"n": np.int64(2), "gamma": 0.5})
+
+
 class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         report = run_experiment(ExperimentConfig("gridworld-demo", {"n": 3}))
@@ -340,6 +367,19 @@ class TestCli:
             ("models-eval", '{"model": {"kind": "boltzmann", "beta": 1e400}}', "params.model.beta"),
             ("gridworld-demo", '{"alpha": 1e400}', "params.alpha"),
             ("counterexample-gamma", '{"model_kind": "softmax"}', "params.model_kind"),
+        ):
+            config.write_text(f'{{"kind": "{kind}", "params": {params}}}')
+            assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params
+            assert f"validation error: {path}:" in capsys.readouterr().err, params
+
+    def test_bad_option_values_exit_validation(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        for kind, params, path in (
+            ("gridworld-demo", '{"n": "3"}', "params.n"),
+            ("gridworld-demo", '{"n": 2.5}', "params.n"),
+            ("counterexample-perturb", '{"delta": "x"}', "params.delta"),
+            ("same-order", '{"seed": "x"}', "params.seed"),
+            ("counterexample-perturb", '{"c": NaN}', "params.c"),
         ):
             config.write_text(f'{{"kind": "{kind}", "params": {params}}}')
             assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params

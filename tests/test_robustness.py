@@ -399,6 +399,129 @@ class TestPerturbationCounterexample:
             perturbation_counterexample(mdp_4x3, model_kind="optimal_uniform")
 
 
+def _serial_perturbation(mdp, model_kind="boltzmann", c=1.0, delta=1e-2, policy_metric=None, seed=0):
+    """The halving search with one N=2 solve per eps that the stacked ladder replaced.
+
+    Returns the certificate and whether the upward bisection ran.
+    """
+    spec = BehavioralModelSpec(model_kind, mdp, 1.0, 1.0)
+    metric = policy_metric or PolicyMetricSpec("l2")
+    unit = next(
+        u for attempt in range(20)
+        if (u := standardize(mdp, random_reward(seed + attempt, mdp.n_states, mdp.n_actions))).any()
+    )
+    shaping_dir = robustness_module.shaping_tensor(mdp, np.ones(mdp.n_states))
+    shaping_unit = shaping_dir / np.linalg.norm(shaping_dir)
+
+    def build(eps):
+        s_part = math.sqrt(max(c * c - eps * eps, 0.0)) * shaping_unit
+        return eps * unit + s_part, -eps * unit + s_part
+
+    def gap(eps):
+        return metric.distance(mdp, *spec.policies(robustness_module.reward_stack(mdp, build(eps))))
+
+    hi = c * (1.0 - 1e-12)
+    eps = hi
+    g = gap(eps)
+    while g > delta:
+        eps /= 2.0
+        if eps < 1e-300:
+            raise InvalidInstance(f"delta = {delta:g} requires eps below 1e-300; cannot represent")
+        g = gap(eps)
+    lo, hi_b = eps, min(2.0 * eps, hi)
+    bisected = False
+    for _ in range(200):
+        if g >= delta / 2.0:
+            break
+        bisected = True
+        mid = 0.5 * (lo + hi_b)
+        g_mid = gap(mid)
+        if g_mid <= delta:
+            lo, g = mid, g_mid
+        else:
+            hi_b = mid
+    params = {"c": c, "delta": delta, "eps": lo, "seed": seed}
+    cert = robustness_module._certificate("perturbation", spec, mdp, *build(lo), metric.kind, params)
+    return cert, bisected
+
+
+def _assert_same_certificate(cert, ref):
+    assert cert.params == ref.params  # eps, bit for bit
+    assert (cert.policy_gap, cert.distance) == (ref.policy_gap, ref.distance)
+    assert np.array_equal(cert.reward_1, ref.reward_1)
+    assert np.array_equal(cert.reward_2, ref.reward_2)
+
+
+class _ConstantMetric(PolicyMetricSpec):
+    """A policy metric that never falls below 1, so no eps qualifies."""
+
+    def distance(self, mdp, policy_1, policy_2):
+        return 1.0
+
+
+class TestPerturbationLadder:
+    def test_matches_serial_halving_bit_for_bit(self):
+        for seed in range(3):
+            for n_states in range(2, 7):
+                mdp = random_mdp(600 + seed, n_states, 3)
+                for delta in (1e-1, 1e-2, 1e-3, 1e-6):
+                    for kind in ("boltzmann", "mce"):
+                        cert = perturbation_counterexample(mdp, model_kind=kind, delta=delta, seed=seed)
+                        ref, _ = _serial_perturbation(mdp, kind, delta=delta, seed=seed)
+                        _assert_same_certificate(cert, ref)
+
+    def test_bisection_branch_matches(self):
+        linf = PolicyMetricSpec("linf")
+        # The halving overshoots below delta/2 here, so the bisection runs.
+        # At delta = 1e-200 the gap is exactly 0 once +-eps*R vanishes in the
+        # rounding of the shaping part, and all 200 bisection steps run.
+        for mdp, delta, metric in ((random_mdp(0, 4, 3), 0.5, linf), (random_mdp(3, 4, 3), 1e-200, None)):
+            cert = perturbation_counterexample(mdp, delta=delta, policy_metric=metric)
+            ref, ran = _serial_perturbation(mdp, delta=delta, policy_metric=metric)
+            assert ran
+            _assert_same_certificate(cert, ref)
+
+    def test_floor_raises_the_serial_error(self):
+        mdp = random_mdp(4, 3, 2)
+        with pytest.raises(InvalidInstance) as serial:
+            _serial_perturbation(mdp, policy_metric=_ConstantMetric("l2"))
+        with pytest.raises(InvalidInstance) as ladder:
+            perturbation_counterexample(mdp, policy_metric=_ConstantMetric("l2"))
+        assert str(ladder.value) == str(serial.value) == "delta = 0.01 requires eps below 1e-300; cannot represent"
+
+    @staticmethod
+    def _fail_below(monkeypatch, threshold):
+        """Make the model fail, as a solve that misses its tolerance, on every
+        reward pair closer than ``threshold``: the first such item in a stack raises."""
+        policies = BehavioralModelSpec.policies
+
+        def failing(self, rewards):
+            gaps = np.linalg.norm((rewards[0::2] - rewards[1::2]).reshape(len(rewards) // 2, -1), axis=1)
+            bad = np.flatnonzero(gaps < threshold)
+            if bad.size:
+                raise robustness_module.ConvergenceError("forced", residual=1.0, item=2 * int(bad[0]))
+            return policies(self, rewards)
+
+        monkeypatch.setattr(BehavioralModelSpec, "policies", failing)
+
+    def test_failing_rung_past_the_answer_is_not_reached(self, monkeypatch):
+        mdp = random_mdp(5, 4, 3)
+        ref, _ = _serial_perturbation(mdp, delta=1e-3)
+        # Pairs at the answer's eps are 2*eps apart; the next halving's, eps.
+        self._fail_below(monkeypatch, 1.5 * ref.params["eps"])
+        _assert_same_certificate(perturbation_counterexample(mdp, delta=1e-3), ref)
+
+    def test_failing_rung_before_the_answer_raises_as_serial(self, monkeypatch):
+        mdp = random_mdp(5, 4, 3)
+        ref, _ = _serial_perturbation(mdp, delta=1e-3)
+        self._fail_below(monkeypatch, 3 * ref.params["eps"])
+        with pytest.raises(robustness_module.ConvergenceError) as serial:
+            _serial_perturbation(mdp, delta=1e-3)
+        with pytest.raises(robustness_module.ConvergenceError) as ladder:
+            perturbation_counterexample(mdp, delta=1e-3)
+        assert (str(ladder.value), ladder.value.item) == (str(serial.value), serial.value.item)
+
+
 class TestSeparationWitness:
     def test_witness_found_for_modest_epsilon(self):
         mdp = random_mdp(55, 4, 3)

@@ -10,7 +10,6 @@ import dataclasses
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +84,14 @@ class TabularMdp:
             raise InvalidInstance(f"states {sorted(unreached)} are unreachable from the initial distribution")
 
     def _unreachable_states(self):
-        # BFS over positive-probability edges, maximising over actions.
-        reach = set(np.flatnonzero(self.initial_dist > 0.0).tolist())
-        frontier = deque(reach)
+        # Level-synchronous BFS over positive-probability edges, maximising
+        # over actions: each level is one boolean mask.
         edge = self.transition.max(axis=1) > 0.0
-        while frontier:
-            s = frontier.popleft()
-            for t in np.flatnonzero(edge[s]):
-                if t not in reach:
-                    reach.add(int(t))
-                    frontier.append(int(t))
-        return set(range(self.n_states)) - reach
+        reach = frontier = self.initial_dist > 0.0
+        while frontier.any():
+            frontier = edge[frontier].any(axis=0) & ~reach
+            reach = reach | frontier
+        return set(np.flatnonzero(~reach).tolist())
 
     @property
     def n_states(self) -> int:
@@ -143,8 +139,19 @@ def check_reward(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
 
 
 def reward_stack(mdp: TabularMdp, rewards) -> np.ndarray:
-    """The (N, S, A, S) stack of N rewards, each checked by ``check_reward``."""
-    return np.stack([check_reward(mdp, reward) for reward in rewards])
+    """The (N, S, A, S) stack of N rewards, a new float array, checked as a whole.
+
+    A stack that fails the check raises ``check_reward``'s error for its
+    first bad reward.
+    """
+    try:
+        stack = np.array(rewards, dtype=float)
+    except (TypeError, ValueError):  # ragged, or entries that are not numbers
+        stack = None
+    shape = (mdp.n_states, mdp.n_actions, mdp.n_states)
+    if stack is None or stack.shape[1:] != shape or not len(stack) or not np.isfinite(stack).all():
+        return np.stack([check_reward(mdp, reward) for reward in rewards])
+    return stack
 
 
 def check_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:

@@ -29,7 +29,9 @@ from .mdp import (
     expected_reward,
     is_finite_real,
     optimal_values_stack,
+    reward_stack,
 )
+from .metric import pairwise_norms
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -164,7 +166,11 @@ def mce_policy(
 
 @dataclass(frozen=True)
 class ModelTable:
-    """A behavioural model materialized over a finite list of rewards: finite (S, A) policies of one shape."""
+    """A behavioural model materialized over a finite list of rewards: finite (S, A) policies of one shape.
+
+    ``policies`` and the tables derived from it are snapshots of the entries,
+    taken once per table.
+    """
 
     entries: tuple[tuple[str, np.ndarray], ...]
 
@@ -199,6 +205,13 @@ class ModelTable:
     def flat(self) -> np.ndarray:
         return self.policies.reshape(len(self.policies), -1)
 
+    @cached_property
+    def self_gaps(self) -> np.ndarray:
+        """The (n, n) sup-norm distances between the table's own policies, read-only."""
+        gaps = pairwise_norms(self.flat, self.flat, ord=np.inf)
+        gaps.setflags(write=False)
+        return gaps
+
 
 def materialize_model(
     spec: BehavioralModelSpec, hypotheses: list[tuple[str, np.ndarray]]
@@ -212,18 +225,22 @@ def materialize_model(
     if not hypotheses:
         raise InvalidInstance("hypothesis list must be nonempty")
     ids = [rid for rid, _ in hypotheses]
-    rewards, invalid = [], None
-    for _, reward in hypotheses:
-        try:
-            rewards.append(check_reward(spec.environment, reward))
-        except Exception as exc:
-            invalid = exc
-            break
-    # The rewards before an invalid one are solved first: they come first in order.
+    rewards = [reward for _, reward in hypotheses]
     try:
-        policies = spec.policies(np.stack(rewards)) if rewards else None
+        stack, invalid = reward_stack(spec.environment, rewards), None
+    except Exception as exc:
+        # The rewards before the first invalid one are solved first: they come first in order.
+        invalid, valid = exc, []
+        for reward in rewards:
+            try:
+                valid.append(check_reward(spec.environment, reward))
+            except Exception:
+                break
+        stack = np.stack(valid) if valid else None
+    try:
+        policies = spec.policies(stack) if stack is not None else None
     except ConvergenceError as exc:
         raise ConvergenceError(f"model failed on reward {ids[exc.item]!r}: {exc}", residual=exc.residual) from exc
     if invalid is not None:
-        raise type(invalid)(f"model failed on reward {ids[len(rewards)]!r}: {invalid}") from invalid
+        raise type(invalid)(f"model failed on reward {ids[len(valid)]!r}: {invalid}") from invalid
     return ModelTable(tuple(zip(ids, policies)))

@@ -103,16 +103,17 @@ _SPEC_VALUES = {
 
 _POSITIVE = ("a finite positive number", lambda value: is_finite_real(value) and value > 0)
 
-# What each experiment option other than the model ones must be.  A
-# discount's range, (0, 1), is the environment's own check, by its name.
+_DISCOUNT = ("a number in (0, 1)", lambda value: is_finite_real(value) and 0 < value < 1)
+
+# What each experiment option other than the model ones must be.
 _OPTION_VALUES = {
     "seed": _SEED,
     "n": ("an integer of at least 2", lambda value: _is_int(value) and value >= 2),
     "c": _POSITIVE,
     "delta": _POSITIVE,
-    "gamma": _FINITE,
-    "gamma_1": _FINITE,
-    "gamma_2": _FINITE,
+    "gamma": _DISCOUNT,
+    "gamma_1": _DISCOUNT,
+    "gamma_2": _DISCOUNT,
 }
 
 

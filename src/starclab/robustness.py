@@ -17,6 +17,7 @@ true one?  This module provides:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,9 +57,14 @@ NUDGE_TOL = 1e-9
 MAX_RUNGS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisSet:
-    """Ordered, uniquely-identified finite set of candidate rewards."""
+    """Ordered, uniquely-identified finite set of candidate rewards.
+
+    Instances are immutable (each reward is copied into a locked float
+    array) and hashed by identity, so tables derived from the set can be
+    cached: the STARC distance table is built once per MDP it is read on.
+    """
 
     rewards: tuple[tuple[str, np.ndarray], ...]
 
@@ -68,6 +74,10 @@ class HypothesisSet:
         ids = [rid for rid, _ in self.rewards]
         if len(set(ids)) != len(ids):
             raise InvalidInstance("hypothesis ids must be unique")
+        rewards = tuple((rid, np.array(reward, dtype=float)) for rid, reward in self.rewards)
+        for _, reward in rewards:
+            reward.setflags(write=False)
+        object.__setattr__(self, "rewards", rewards)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -115,9 +125,25 @@ class PolicyMetricSpec:
         return float(np.linalg.norm(diff))
 
 
+# Per hypothesis set, its distance table per evaluation MDP.  Both keys are
+# held weakly, so the cache keeps neither alive, and a table is freed with
+# either.
+_DISTANCES: "weakref.WeakKeyDictionary[HypothesisSet, weakref.WeakKeyDictionary[TabularMdp, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _pair_distances(mdp_eval: TabularMdp, hypotheses: HypothesisSet) -> np.ndarray:
-    """(n, n) STARC distances between the hypotheses, in hypothesis order."""
-    return distance_table(mdp_eval, [reward for _, reward in hypotheses.rewards])
+    """(n, n) STARC distances between the hypotheses, in hypothesis order, read-only.
+
+    Built once per hypothesis set and MDP, and kept while both live.
+    """
+    tables = _DISTANCES.setdefault(hypotheses, weakref.WeakKeyDictionary())
+    table = tables.get(mdp_eval)
+    if table is None:
+        table = tables[mdp_eval] = distance_table(mdp_eval, [reward for _, reward in hypotheses.rewards])
+        table.setflags(write=False)
+    return table
 
 
 def _policy_gaps(table_1: ModelTable, table_2: ModelTable) -> np.ndarray:
@@ -145,7 +171,7 @@ class _Tables:
         for name, table in (("f", f), ("g", g)):
             if table.policies.shape[1:] != shape:
                 raise InvalidInstance(f"{name} policies have shape {table.policies.shape[1:]}, not mdp_eval's {shape}")
-        return cls(ids, _pair_distances(mdp_eval, hypotheses), _policy_gaps(f, g), _policy_gaps(f, f))
+        return cls(ids, _pair_distances(mdp_eval, hypotheses), _policy_gaps(f, g), f.self_gaps)
 
     def violations(self, epsilon: float, eta: float) -> list[dict]:
         ids, dist = self.ids, self.dist
@@ -473,7 +499,8 @@ def perturbation_counterexample(
     unit norm, S is a shaping reward (orthogonal to R by construction) sized
     so both rewards have norm c.  eps is halved from c until the policy gap
     under a continuous behavioural model is at most delta, then bisected
-    upward so the gap lands in [delta/2, delta].
+    upward so the gap lands in [delta/2, delta], or, for a delta below the
+    gap's roundoff, until the bracket is two adjacent floats.
     """
     spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
     if MODEL_KINDS[model_kind].weight is None:
@@ -542,6 +569,10 @@ def perturbation_counterexample(
         if g >= delta / 2.0:
             break
         mid = 0.5 * (lo + hi_b)
+        if mid in (lo, hi_b):
+            # Adjacent floats: no eps between them.  Below roundoff delta the
+            # gap is 0 at lo and above delta at hi_b, so the band is empty.
+            break
         [g_mid] = gaps([mid])
         if g_mid <= delta:
             lo, g = mid, g_mid
@@ -640,7 +671,7 @@ def two_epsilon_lemma_check(
     tables = _Tables.build(f, g, hypotheses, mdp_eval)
     if tables.violations(epsilon, eta):
         raise InvalidInstance("precondition unmet: the model pair is not epsilon-robust")
-    collide = np.triu(_policy_gaps(g, g) <= eta, k=1)
+    collide = np.triu(g.self_gaps <= eta, k=1)
     return not (tables.dist[collide] > 2.0 * epsilon + DIST_TOL).any()
 
 

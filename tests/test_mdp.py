@@ -1,4 +1,6 @@
 import json
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from starclab import (
     random_mdp,
     random_reward,
 )
-from starclab.mdp import load_mdp, load_reward, save_mdp, save_reward
+from starclab.mdp import check_reward, load_mdp, load_reward, reward_stack, save_mdp, save_reward
 from starclab.oracles import enumerate_deterministic_policies, monte_carlo_return
 
 
@@ -50,6 +52,117 @@ class TestConstruction:
     def test_arrays_immutable(self, mdp_4x3):
         with pytest.raises(ValueError):
             mdp_4x3.transition[0, 0, 0] = 0.5
+
+
+def _unreachable_reference(transition, initial):
+    """Per-state BFS over positive-probability edges: the reference for the MDP's own check."""
+    reach = set(np.flatnonzero(initial > 0.0).tolist())
+    frontier = deque(reach)
+    edge = transition.max(axis=1) > 0.0
+    while frontier:
+        s = frontier.popleft()
+        for t in np.flatnonzero(edge[s]).tolist():
+            if t not in reach:
+                reach.add(t)
+                frontier.append(t)
+    return set(range(len(initial))) - reach
+
+
+class TestReachability:
+    @staticmethod
+    def _assert_matches_reference(transition, initial):
+        unreached = _unreachable_reference(transition, initial)
+        if unreached:
+            with pytest.raises(InvalidInstance, match=re.escape(f"states {sorted(unreached)} are unreachable")):
+                TabularMdp(transition=transition, initial_dist=initial, discount=0.9)
+        else:
+            assert TabularMdp(transition=transition, initial_dist=initial, discount=0.9)._unreachable_states() == set()
+        return unreached
+
+    @staticmethod
+    def _one_hot(n, *states):
+        initial = np.zeros(n)
+        initial[list(states)] = 1.0 / len(states)
+        return initial
+
+    @staticmethod
+    def _chain(n):
+        """A chain s -> s+1 with a self-loop action; the last state absorbs."""
+        chain = np.zeros((n, 2, n))
+        chain[np.arange(n), 0, np.minimum(np.arange(n) + 1, n - 1)] = 1.0
+        chain[np.arange(n), 1, np.arange(n)] = 1.0
+        return chain
+
+    def test_chains_and_disconnected_parts(self):
+        for n in range(1, 51):
+            chain = self._chain(n)
+            assert self._assert_matches_reference(chain, self._one_hot(n, 0)) == set()
+            assert self._assert_matches_reference(chain, self._one_hot(n, n // 2)) == set(range(n // 2))
+            # Two chains that never meet, started in the first alone and then in both.
+            half = n // 2
+            if half:
+                parts = np.zeros((n, 2, n))
+                parts[:half, :, :half] = self._chain(half)
+                parts[half:, :, half:] = self._chain(n - half)
+                assert self._assert_matches_reference(parts, self._one_hot(n, 0)) == set(range(half, n))
+                assert self._assert_matches_reference(parts, self._one_hot(n, 0, half)) == set()
+
+    def test_random_sparse_kernels_with_zero_mass_initial_states(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for n in range(1, 51):
+            for _ in range(4):
+                transition = np.zeros((n, 2, n))
+                for s in range(n):
+                    for a in range(2):
+                        targets = rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False)
+                        transition[s, a, targets] = 1.0 / len(targets)
+                initial = rng.random(n) * (rng.random(n) < 0.2)
+                initial[rng.integers(n)] += 1.0
+                initial /= initial.sum()
+                outcomes.add(bool(self._assert_matches_reference(transition, initial)))
+        assert outcomes == {True, False}
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _stack_by_loop(mdp, rewards):
+    """One ``check_reward`` per reward: the reference for ``reward_stack``."""
+    return np.stack([check_reward(mdp, reward) for reward in rewards])
+
+
+class TestRewardStack:
+    def test_errors_match_the_per_reward_loop(self, mdp_4x3, reward_4x3):
+        good = reward_4x3
+        cases = [[], [good[:3]], [good[:, :2]]]
+        for k in range(3):
+            for bad in (good[:3], good[..., :2], good[None], good.ravel(), np.float64(1.0)):
+                cases.append([good] * k + [bad] + [good])
+            for value in (np.nan, np.inf, -np.inf):
+                broken = good.copy()
+                broken[1, 2, 3] = value
+                cases.append([good] * k + [broken, good[:3]])
+        cases.append([good, good.tolist()[:2]])  # ragged nested lists
+        cases.append([good, [[1.0]]])
+        for rewards in cases:
+            want = _outcome(_stack_by_loop, mdp_4x3, rewards)
+            assert isinstance(want, tuple), len(rewards)
+            assert _outcome(reward_stack, mdp_4x3, rewards) == want
+
+    def test_nested_lists_and_ints_stack_as_the_loop(self, mdp_4x3, reward_4x3):
+        ints = np.arange(48).reshape(4, 3, 4)
+        for rewards in ([reward_4x3.tolist(), ints], (ints.tolist(),), np.stack([reward_4x3, reward_4x3])):
+            stack = reward_stack(mdp_4x3, rewards)
+            want = _stack_by_loop(mdp_4x3, rewards)
+            assert stack.dtype == want.dtype == np.float64
+            assert np.array_equal(stack, want)
+        source = np.stack([reward_4x3])
+        assert not np.shares_memory(reward_stack(mdp_4x3, source), source)
 
 
 class TestPolicyEvaluation:

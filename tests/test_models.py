@@ -222,3 +222,14 @@ class TestModelTable:
             ModelTable(())
         table = ModelTable((("a", policy), ("b", 2 * policy)))
         assert table.policies.shape == (2, 4, 3) and table.flat.shape == (2, 12)
+
+    def test_self_gaps_are_a_read_only_snapshot(self, mdp_4x3):
+        policies = [boltzmann_policy(mdp_4x3, random_reward(80 + k, 4, 3), 1.0) for k in range(3)]
+        table = ModelTable(tuple(zip("abc", policies)))
+        gaps = table.self_gaps
+        want = [[float(np.abs(p - q).max()) for q in policies] for p in policies]
+        assert gaps.tolist() == want
+        assert table.self_gaps is gaps and not gaps.flags.writeable
+        policies[0][...] = policies[1]  # the caller's array, after the table was made
+        assert ModelTable(tuple(zip("abc", policies))).self_gaps[0, 1] == 0.0
+        assert table.self_gaps[0, 1] == want[0][1] > 0.0

@@ -311,6 +311,8 @@ class TestCli:
                     continue
                 if action.choices:
                     value = next(choice for choice in action.choices if choice != action.default)
+                elif flag.startswith("--gamma"):  # a discount stays in (0, 1)
+                    value = str((action.default + 1) / 2)
                 else:
                     value = "x.json" if action.default is None else str(2 * action.default + 1)
                 argv = path + required + context.get((*path, flag), [])
@@ -380,6 +382,10 @@ class TestCli:
             ("counterexample-perturb", '{"delta": "x"}', "params.delta"),
             ("same-order", '{"seed": "x"}', "params.seed"),
             ("counterexample-perturb", '{"c": NaN}', "params.c"),
+            ("counterexample-gamma", '{"gamma_1": 1.5}', "params.gamma_1"),
+            ("counterexample-gamma", '{"gamma_2": 0}', "params.gamma_2"),
+            ("gridworld-demo", '{"gamma": 1.5}', "params.gamma"),
+            ("gridworld-demo", '{"gamma": 1}', "params.gamma"),
         ):
             config.write_text(f'{{"kind": "{kind}", "params": {params}}}')
             assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +203,62 @@ class TestVectorizedChecker:
             seen.update(v["condition"] for v in violations)
             seen.add("robust" if not violations else "not robust")
         assert seen == {1, 2, 3, 4, "robust", "not robust"}
+
+
+def _audit(f, g, hyp, mdp):
+    """The checker calls of one audit: the tightest epsilon, the verdicts at it and just below, the lemma."""
+    epsilon = min_robust_epsilon(f, g, hyp, mdp)
+    at = check_epsilon_robust(f, g, hyp, mdp, epsilon)
+    below = check_epsilon_robust(f, g, hyp, mdp, epsilon - 1e-6)
+    return epsilon, at, below, two_epsilon_lemma_check(f, g, hyp, mdp, epsilon)
+
+
+class TestTablesBuiltOnce:
+    def test_one_distance_table_per_set_and_mdp(self, mdp_4x3, monkeypatch):
+        built, distance_table = [], robustness_module.distance_table
+
+        def spy(mdp, rewards):
+            built.append(mdp)
+            return distance_table(mdp, rewards)
+
+        monkeypatch.setattr(robustness_module, "distance_table", spy)
+        hyp, f, g = _swap_tables(mdp_4x3)
+        _audit(f, g, hyp, mdp_4x3)
+        assert built == [mdp_4x3]
+        other = mdp_4x3.with_discount(0.8)
+        _audit(f, g, hyp, other)
+        _audit(f, g, hyp, mdp_4x3)
+        assert built == [mdp_4x3, other]
+
+    def test_caller_edits_after_construction_change_no_verdict(self, mdp_4x3):
+        hyp, f, g = _swap_tables(mdp_4x3)
+        rewards = [reward.copy() for _, reward in hyp.rewards]
+        mine = HypothesisSet(tuple(zip(hyp.ids, rewards)))
+        rewards[1][...] = -rewards[0]  # distance 1 from x, were it read
+        assert _audit(f, g, mine, mdp_4x3)[0] == _audit(f, g, hyp, mdp_4x3)[0]
+        assert check_epsilon_robust(f, g, mine, mdp_4x3, 0.0) == check_epsilon_robust(f, g, hyp, mdp_4x3, 0.0)
+        for rid in mine.ids:
+            with pytest.raises(ValueError, match="read-only"):
+                mine.reward(rid)[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            robustness_module._pair_distances(mdp_4x3, mine)[0, 1] = 0.5
+
+    def test_cached_table_is_freed_with_the_set_and_holds_no_mdp(self):
+        mdp = random_mdp(41, 4, 3)
+        hyp, _, _ = _swap_tables(mdp)
+        table = robustness_module._pair_distances(mdp, hyp)
+        assert robustness_module._pair_distances(mdp, hyp) is table
+        table_ref, hyp_ref = weakref.ref(table), weakref.ref(hyp)
+        del table, hyp
+        gc.collect()
+        assert hyp_ref() is None and table_ref() is None
+
+        hyp, _, _ = _swap_tables(mdp)
+        table_ref, mdp_ref = weakref.ref(robustness_module._pair_distances(mdp, hyp)), weakref.ref(mdp)
+        del mdp
+        gc.collect()
+        assert mdp_ref() is None and table_ref() is None
+        assert len(robustness_module._DISTANCES[hyp]) == 0
 
 
 class TestMinRobustEpsilon:
@@ -474,12 +532,37 @@ class TestPerturbationLadder:
         linf = PolicyMetricSpec("linf")
         # The halving overshoots below delta/2 here, so the bisection runs.
         # At delta = 1e-200 the gap is exactly 0 once +-eps*R vanishes in the
-        # rounding of the shaping part, and all 200 bisection steps run.
+        # rounding of the shaping part, and the bisection runs until its
+        # bracket is two adjacent floats; the serial search runs all 200 steps.
         for mdp, delta, metric in ((random_mdp(0, 4, 3), 0.5, linf), (random_mdp(3, 4, 3), 1e-200, None)):
             cert = perturbation_counterexample(mdp, delta=delta, policy_metric=metric)
             ref, ran = _serial_perturbation(mdp, delta=delta, policy_metric=metric)
             assert ran
             _assert_same_certificate(cert, ref)
+
+    def test_bisection_stops_when_the_bracket_cannot_shrink(self, monkeypatch):
+        # Below roundoff delta no eps gives a gap in [delta/2, delta]: the gap
+        # is 0 at lo and above delta at hi, until the two are adjacent floats.
+        solves = []
+        policies = BehavioralModelSpec.policies
+
+        def counting(self, rewards):
+            solves.append(len(rewards))
+            return policies(self, rewards)
+
+        monkeypatch.setattr(BehavioralModelSpec, "policies", counting)
+        for seed in range(4):
+            mdp = random_mdp(seed, 6, 3)
+            solves.clear()
+            ref, ran = _serial_perturbation(mdp, delta=1e-200, seed=seed)
+            serial_solves = len(solves)
+            solves.clear()
+            cert = perturbation_counterexample(mdp, delta=1e-200, seed=seed)
+            assert ran and cert.policy_gap == 0.0
+            _assert_same_certificate(cert, ref)
+            # [eps, 2 eps] holds 2**52 floats, so about 53 halvings of the
+            # bracket reach adjacent floats; the serial search spends 200.
+            assert serial_solves > 200 and len(solves) < 64, (serial_solves, len(solves))
 
     def test_floor_raises_the_serial_error(self):
         mdp = random_mdp(4, 3, 2)

@@ -2,8 +2,9 @@
 the one rule that accepts a residual.
 
 Everything here works on stacks.  ``evaluate`` is the one stacked solve of
-``(I - gamma P_pi) v = r_pi``, behind ``mdp.policy_evaluation`` and the
-oracles.  ``policy_iteration`` and ``soft_policy_iteration`` solve the
+``(I - gamma P_pi) v = r_pi``, and ``evaluate_deterministic`` its form for
+deterministic policies, behind ``mdp.policy_evaluation``, policy iteration
+and the oracles.  ``policy_iteration`` and ``soft_policy_iteration`` solve the
 optimal and the entropy-regularised fixed points of an (N, S, A) stack of
 expected rewards at once: each round is one batched linear solve over the
 items still running, and each item keeps its own switch rule, roundoff
@@ -113,6 +114,15 @@ def evaluate(transition, discount, policies, expected, tol=None):
     return v
 
 
+def evaluate_deterministic(transition, discount, actions, r_pi):
+    """Values, (N, S, k), of N deterministic policies, given by their actions (N, S), for rewards r_pi (N, S, k).
+
+    ``evaluate``'s bits, with ``P_pi``'s rows gathered: its sum over one-hot policies only adds exact zeros.
+    """
+    states = np.arange(transition.shape[0])
+    return np.linalg.solve(np.eye(len(states)) - discount * transition[states, actions], r_pi)
+
+
 def _record(done, live, out, *values):
     """Store the values of the items that are ``done`` at their places in ``out``; return the rest of ``live``.
 
@@ -136,14 +146,12 @@ def policy_iteration(expected, transition, discount, max_iters):
     """
     n, n_states, _ = expected.shape
     states = np.arange(n_states)
-    eye = np.eye(n_states)
     out = v, q, rounds, residual = np.empty((n, n_states)), np.empty_like(expected), np.empty(n, int), np.empty(n)
     # The running items, their expected rewards and their current actions.
     live, er, act = np.arange(n), expected, expected.argmax(axis=2)
     items = live[:, None]
     for round_ in itertools.count(1):
-        # The gathered rows of deterministic policies; cheaper than ``_solve``.
-        v_live = np.linalg.solve(eye - discount * transition[states, act], er[items, states, act, None])[..., 0]
+        v_live = evaluate_deterministic(transition, discount, act, er[items, states, act, None])[..., 0]
         q_live = _q_values(er, transition, discount, v_live)
         best = q_live.max(axis=2)
         switch = best - q_live[items, states, act] > _roundoff(q_live)[:, None]

@@ -174,48 +174,34 @@ def expected_reward(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     return np.einsum("sat,...sat->...sa", mdp.transition, reward)
 
 
-def policy_evaluation(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    policy: np.ndarray,
-    tol: float = DEFAULT_DP_TOL,
-) -> np.ndarray:
-    """State values of a fixed policy, by direct linear solve."""
+def policy_evaluation(mdp: TabularMdp, reward: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    """State values of a fixed policy, by direct linear solve, its residual checked at ``DEFAULT_DP_TOL``."""
     reward = check_reward(mdp, reward)
     policy = check_policy(mdp, policy)
     er = expected_reward(mdp, reward)
-    return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None], tol)[0, :, 0]
+    return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None], DEFAULT_DP_TOL)[0, :, 0]
 
 
-def optimal_values_stack(
-    mdp: TabularMdp,
-    rewards: np.ndarray,
-    tol: float = DEFAULT_DP_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[np.ndarray, np.ndarray]:
+def optimal_values_stack(mdp: TabularMdp, rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal values (N, S) and Q-values (N, S, A) of a checked (N, S, A, S)
     reward stack, by one stacked Howard policy iteration.
 
-    ``tol`` bounds each item's Bellman residual; it is floored at the
-    roundoff of that item's Q-values (``_kernels.tolerance``).  ``max_iters``
-    bounds the rounds.  The first item that misses its tolerance raises
-    ConvergenceError, with its index as ``item``.
+    ``DEFAULT_DP_TOL`` bounds each item's Bellman residual; it is floored at
+    the roundoff of that item's Q-values (``_kernels.tolerance``).
+    ``DEFAULT_MAX_ITERS`` bounds the rounds.  The first item that misses its
+    tolerance raises ConvergenceError, with its index as ``item``.
     """
+    tol = DEFAULT_DP_TOL
     v, q, rounds, resid = _kernels.policy_iteration(
-        expected_reward(mdp, rewards), mdp.transition, mdp.discount, max_iters
+        expected_reward(mdp, rewards), mdp.transition, mdp.discount, DEFAULT_MAX_ITERS
     )
     _kernels.check_residual(resid, tol, q, lambda i: f"policy iteration did not converge in {rounds[i]} rounds")
     return v, q
 
 
-def optimal_values(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    tol: float = DEFAULT_DP_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[np.ndarray, np.ndarray]:
+def optimal_values(mdp: TabularMdp, reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal state values and Q-values: ``optimal_values_stack`` of one reward."""
-    v, q = optimal_values_stack(mdp, check_reward(mdp, reward)[None], tol, max_iters)
+    v, q = optimal_values_stack(mdp, check_reward(mdp, reward)[None])
     return v[0], q[0]
 
 

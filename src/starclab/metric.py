@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, check_reward, reward_stack
+from .mdp import TabularMdp, reward_stack
 from .oracles import regret_witness_search
 from .transforms import CanonicalOperator, canonical_operator
 
@@ -138,6 +138,4 @@ def regret_gap(
     reward 1 is trivial on deterministic policies: their returns' range is
     within 1e-10 times the largest |return| (``oracles.SIGN_BAND``).
     """
-    reward_1 = check_reward(mdp, reward_1)
-    reward_2 = check_reward(mdp, reward_2)
     return regret_witness_search(mdp, reward_1, reward_2, cap=cap)

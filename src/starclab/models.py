@@ -60,13 +60,11 @@ def _boltzmann_policies(mdp: TabularMdp, rewards: np.ndarray, beta: float) -> np
     return weights / weights.sum(axis=2, keepdims=True)
 
 
-def _mce_policies(
-    mdp: TabularMdp, rewards: np.ndarray, alpha: float, max_iters: int = DEFAULT_MAX_ITERS
-) -> np.ndarray:
+def _mce_policies(mdp: TabularMdp, rewards: np.ndarray, alpha: float) -> np.ndarray:
     """Maximal-causal-entropy policies (N, S, A) of a checked (N, S, A, S) reward stack."""
     tol = DEFAULT_DP_TOL
     v, q, rounds, resid = _kernels.soft_policy_iteration(
-        expected_reward(mdp, rewards), mdp.transition, mdp.discount, alpha, tol, max_iters
+        expected_reward(mdp, rewards), mdp.transition, mdp.discount, alpha, tol, DEFAULT_MAX_ITERS
     )
     _kernels.check_residual(resid, tol, q, lambda i: f"soft policy iteration did not converge in {rounds[i]} rounds")
     policy = np.exp((q - v[..., None]) / alpha)
@@ -156,12 +154,9 @@ def boltzmann_policy(mdp: TabularMdp, reward: np.ndarray, beta: float) -> np.nda
     return BehavioralModelSpec("boltzmann", mdp, beta=beta)(reward)
 
 
-def mce_policy(
-    mdp: TabularMdp, reward: np.ndarray, alpha: float, max_iters: int = DEFAULT_MAX_ITERS
-) -> np.ndarray:
+def mce_policy(mdp: TabularMdp, reward: np.ndarray, alpha: float) -> np.ndarray:
     """Maximal-causal-entropy policy: exp((Q - V)/alpha) at the soft fixed point."""
-    check_weight(alpha, "alpha")
-    return _mce_policies(mdp, check_reward(mdp, reward)[None], alpha, max_iters)[0]
+    return BehavioralModelSpec("mce", mdp, alpha=alpha)(reward)
 
 
 @dataclass(frozen=True)

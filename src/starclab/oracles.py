@@ -42,24 +42,25 @@ def _policy_space_size(mdp: TabularMdp, cap: int) -> int:
     return size
 
 
-def deterministic_policy(mdp: TabularMdp, index: int) -> np.ndarray:
-    """Decode a base-|A| index into a deterministic policy table."""
-    policy = np.zeros((mdp.n_states, mdp.n_actions))
+def _deterministic_actions(mdp: TabularMdp, indices) -> np.ndarray:
+    """The actions, (..., S), of the deterministic policies with base-|A| ``indices``: state s reads digit s.
+
+    The indices only shrink, so unlike the powers |A|^s they never wrap an int64.
+    """
+    actions = np.empty(np.shape(indices) + (mdp.n_states,), dtype=int)
     for s in range(mdp.n_states):
-        policy[s, index % mdp.n_actions] = 1.0
-        index //= mdp.n_actions
-    return policy
+        indices, actions[..., s] = divmod(indices, mdp.n_actions)
+    return actions
 
 
-def _deterministic_actions(mdp: TabularMdp, size: int) -> np.ndarray:
-    """The actions, (size, S), of the first ``size`` deterministic policies in ``deterministic_policy`` order."""
-    digits = mdp.n_actions ** np.arange(mdp.n_states)
-    return (np.arange(size)[:, None] // digits) % mdp.n_actions
+def deterministic_policy(mdp: TabularMdp, index) -> np.ndarray:
+    """Decode a base-|A| index into a deterministic policy table, or an index array into a stack of them."""
+    return np.eye(mdp.n_actions)[_deterministic_actions(mdp, index)]
 
 
 def _deterministic_policies(mdp: TabularMdp, size: int) -> np.ndarray:
     """The first ``size`` deterministic policies, (size, S, A), in ``deterministic_policy`` order."""
-    return np.eye(mdp.n_actions)[_deterministic_actions(mdp, size)]
+    return deterministic_policy(mdp, np.arange(size))
 
 
 def enumerate_deterministic_policies(mdp: TabularMdp, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
@@ -82,14 +83,12 @@ def _stacked_returns(
 def _deterministic_returns(mdp: TabularMdp, expected: np.ndarray, cap: int) -> np.ndarray:
     """(k, A^S) returns of every deterministic policy under k expected rewards.
 
-    The same solve as ``_stacked_returns`` of the one-hot policies, with the
-    policies' rows gathered instead of summed: the one-hot sums only add
-    exact zeros, so the bits are the same.
+    The same bits as ``_stacked_returns`` of the one-hot policies, by
+    ``_kernels.evaluate_deterministic``.
     """
-    actions = _deterministic_actions(mdp, _policy_space_size(mdp, cap))
-    states = np.arange(mdp.n_states)
-    system = np.eye(mdp.n_states) - mdp.discount * mdp.transition[states, actions]
-    v = np.linalg.solve(system, np.moveaxis(expected[:, states, actions], 0, -1))
+    actions = _deterministic_actions(mdp, np.arange(_policy_space_size(mdp, cap)))
+    r_pi = np.moveaxis(expected[:, np.arange(mdp.n_states), actions], 0, -1)
+    v = _kernels.evaluate_deterministic(mdp.transition, mdp.discount, actions, r_pi)
     return np.einsum("s,nsk->kn", mdp.initial_dist, v)
 
 

@@ -61,9 +61,10 @@ MAX_RUNGS = 64
 class HypothesisSet:
     """Ordered, uniquely-identified finite set of candidate rewards.
 
-    Instances are immutable (each reward is copied into a locked float
-    array) and hashed by identity, so tables derived from the set can be
-    cached: the STARC distance table is built once per MDP it is read on.
+    The rewards must be finite 3-D arrays of one shape.  Instances are
+    immutable (the rewards are copied into one locked float stack) and
+    hashed by identity, so tables derived from the set can be cached: the
+    STARC distance table is built once per MDP it is read on.
     """
 
     rewards: tuple[tuple[str, np.ndarray], ...]
@@ -74,10 +75,25 @@ class HypothesisSet:
         ids = [rid for rid, _ in self.rewards]
         if len(set(ids)) != len(ids):
             raise InvalidInstance("hypothesis ids must be unique")
-        rewards = tuple((rid, np.array(reward, dtype=float)) for rid, reward in self.rewards)
-        for _, reward in rewards:
-            reward.setflags(write=False)
-        object.__setattr__(self, "rewards", rewards)
+        try:
+            stack = np.array([reward for _, reward in self.rewards], dtype=float)
+        except (TypeError, ValueError):  # a ragged or non-numeric reward, or rewards of mixed shapes
+            stack = None
+        if stack is None or stack.ndim != 4 or not np.isfinite(stack).all():
+            shape = None  # the first reward's
+            for rid, reward in self.rewards:
+                try:
+                    reward = np.array(reward, dtype=float)
+                except (TypeError, ValueError):
+                    raise InvalidInstance(f"hypothesis {rid!r}: reward is ragged or not numeric") from None
+                shape = shape or reward.shape
+                if reward.ndim != 3 or reward.shape != shape or not np.isfinite(reward).all():
+                    raise InvalidInstance(
+                        f"hypothesis {rid!r}: reward must be finite and 3-D, of the first reward's shape {shape}; "
+                        f"got shape {reward.shape}"
+                    )
+        stack.setflags(write=False)
+        object.__setattr__(self, "rewards", tuple(zip(ids, stack)))
 
     @property
     def ids(self) -> tuple[str, ...]:

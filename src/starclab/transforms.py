@@ -241,11 +241,7 @@ def invisible_reward_discount(
         raise InvalidInstance("the two discounts must differ")
     if not (0.0 < gamma_1 < 1.0 and 0.0 < gamma_2 < 1.0):
         raise InvalidInstance("discounts must lie in (0, 1)")
-    row_spread = 0.0
-    for s in range(mdp.n_states):
-        rows = mdp.transition[s]
-        row_spread = max(row_spread, np.abs(rows[:, None, :] - rows[None, :, :]).max())
-    if row_spread <= 1e-9:
+    if np.ptp(mdp.transition, axis=1).max() <= 1e-9:
         raise InvalidInstance(
             "precondition violated: every state's actions share one next-state "
             "distribution, so shaping rewards stay trivial under any discount"

@@ -14,6 +14,7 @@ from starclab import (
     random_reward,
     three_state_chain,
 )
+from starclab import _kernels
 from starclab._kernels import soft_value_iteration, value_iteration
 from starclab.mdp import expected_reward
 from starclab.oracles import value_iteration_oracle
@@ -98,14 +99,19 @@ def test_exact_ties_terminate_with_uniform_support():
     np.testing.assert_allclose(mce_policy(chain, flat, 1.0), np.full((3, 2), 0.5), atol=1e-12)
 
 
-def test_round_budget_exhaustion_raises():
+def test_round_budget_exhaustion_raises(monkeypatch):
     mdp, reward, er = _instance(7, 0.99)
     assert value_iteration(er, mdp.transition, mdp.discount, 100_000)[2] > 1
     assert soft_value_iteration(er, mdp.transition, mdp.discount, 1.0, TOL, 100_000)[2] > 1
+    policy_iteration, soft_policy_iteration = _kernels.policy_iteration, _kernels.soft_policy_iteration
+    monkeypatch.setattr(_kernels, "policy_iteration", lambda er, t, d, _: policy_iteration(er, t, d, 1))
+    monkeypatch.setattr(
+        _kernels, "soft_policy_iteration", lambda er, t, d, w, tol, _: soft_policy_iteration(er, t, d, w, tol, 1)
+    )
     with pytest.raises(ConvergenceError, match="policy iteration did not converge in 1 rounds"):
-        optimal_values(mdp, reward, max_iters=1)
+        optimal_values(mdp, reward)
     with pytest.raises(ConvergenceError, match="soft policy iteration did not converge in 1 rounds"):
-        mce_policy(mdp, reward, 1.0, max_iters=1)
+        mce_policy(mdp, reward, 1.0)
 
 
 @pytest.mark.parametrize("scale", (1e6, 1e9))

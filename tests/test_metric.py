@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starclab import (
+    InvalidInstance,
     apply_potential_shaping,
     apply_redistribution_noise,
     canonicalize,
@@ -153,6 +154,18 @@ class TestRegretGap:
             regret, witness = regret_gap(mdp, scale * reward, -scale * reward)
             assert regret == pytest.approx(1.0, abs=1e-8) and witness is not None, scale
             assert regret_gap(mdp, scale * shaping, reward) == (0.0, None), scale
+
+    def test_malformed_reward_refused_with_the_reward_check_text(self):
+        mdp = random_mdp(24, 3, 2)
+        reward = random_reward(25, 3, 2)
+        for bad, match in (
+            (reward[:2, :, :2], r"^reward must have shape \(3, 2, 3\), got \(2, 2, 2\)$"),
+            (np.full((3, 2, 3), np.nan), "^reward has non-finite entries$"),
+        ):
+            with pytest.raises(InvalidInstance, match=match):
+                regret_gap(mdp, bad, reward)
+            with pytest.raises(InvalidInstance, match=match):
+                regret_gap(mdp, reward, bad)
 
     def test_zero_distance_forbids_regret(self):
         mdp = random_mdp(26, 3, 2)

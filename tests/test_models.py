@@ -18,6 +18,7 @@ from starclab import (
     random_mdp,
     random_reward,
 )
+from starclab import models
 from starclab.models import MODEL_KINDS, ModelTable
 from starclab.oracles import enumerate_deterministic_policies
 
@@ -184,6 +185,26 @@ class TestModelKinds:
         # A weight the kind does not read is neither checked nor serialized.
         spec = BehavioralModelSpec("mce", mdp_4x3, beta=-4, alpha=1.0)
         assert spec.to_dict() == {"kind": "mce", "alpha": 1.0}
+
+    def test_single_reward_functions_go_through_the_spec(self, mdp_4x3, reward_4x3, monkeypatch):
+        for call, path in (
+            (lambda bad: boltzmann_policy(mdp_4x3, reward_4x3, bad), "model.beta"),
+            (lambda bad: mce_policy(mdp_4x3, reward_4x3, bad), "model.alpha"),
+        ):
+            for bad in (0.0, -1.0, math.nan, True, "1"):
+                with pytest.raises(InvalidInstance, match=rf"^{re.escape(path)}: must be a finite positive number"):
+                    call(bad)
+        documents, check = [], models.check_model_document
+
+        def spy(data, path="model"):
+            documents.append(data)
+            return check(data, path)
+
+        monkeypatch.setattr(models, "check_model_document", spy)
+        optimal_policy_uniform(mdp_4x3, reward_4x3)
+        boltzmann_policy(mdp_4x3, reward_4x3, 2.5)
+        mce_policy(mdp_4x3, reward_4x3, 0.7)
+        assert documents == [{"kind": "optimal_uniform"}, {"kind": "boltzmann", "beta": 2.5}, {"kind": "mce", "alpha": 0.7}]
 
     def test_from_dict_refuses_malformed_documents(self, mdp_4x3):
         for data, path in (

@@ -254,6 +254,8 @@ class TestBatchedOracles:
         stack = oracles._deterministic_policies(mdp, 3**4)
         for index in (0, 1, 2, 3, 40, 80):
             assert np.array_equal(stack[index], oracles.deterministic_policy(mdp, index))
+        # State s reads base-3 digit s: 5 = 2 + 1 * 3.
+        assert np.array_equal(oracles.deterministic_policy(mdp, 5).argmax(axis=1), [2, 1, 0, 0])
 
     def test_stochastic_stream_matches_per_pair_draws(self, monkeypatch):
         seen, compared = [], []

@@ -86,6 +86,21 @@ class TestChecker:
         with pytest.raises(InvalidInstance, match="same reward ids"):
             check_epsilon_robust(f, g, other_hyp, mdp_4x3, epsilon=0.1)
 
+    def test_malformed_hypothesis_rewards_refused_naming_the_id(self):
+        first = ("a", np.zeros((2, 1, 2)))
+        rule = r"'b': reward must be finite and 3-D, of the first reward's shape \(2, 1, 2\); got shape "
+        for bad, match in (
+            (np.zeros(3), rule + r"\(3,\)"),
+            ([[[1.0, 2.0]], [[3.0]]], "'b': reward is ragged or not numeric"),
+            ([[["x", 1.0]], [[2.0, 3.0]]], "'b': reward is ragged or not numeric"),
+            (np.zeros((2, 1, 3)), rule + r"\(2, 1, 3\)"),
+            (np.full((2, 1, 2), np.inf), rule + r"\(2, 1, 2\)"),
+        ):
+            with pytest.raises(InvalidInstance, match=match):
+                HypothesisSet((first, ("b", bad), ("c", np.zeros((2, 1, 2)))))
+        with pytest.raises(InvalidInstance, match=r"'a': reward must be finite and 3-D"):
+            HypothesisSet((("a", 1.0), ("b", 2.0)))
+
     def test_non_finite_policy_refused_before_the_checker(self, mdp_4x3):
         # A NaN policy compares false with everything, so the checker would
         # report no condition-3 violation for it and a finite epsilon.

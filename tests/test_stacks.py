@@ -121,17 +121,19 @@ def _slow_reward(mdp):
             return reward
 
 
-def test_convergence_failure_on_one_item_of_a_stack():
+def test_convergence_failure_on_one_item_of_a_stack(monkeypatch):
     mdp = random_mdp(7, 5, 3, discount=0.99)
     slow = _slow_reward(mdp)
     flat = np.zeros_like(slow)
+    policy_iteration = _kernels.policy_iteration
+    monkeypatch.setattr(_kernels, "policy_iteration", lambda er, t, d, _: policy_iteration(er, t, d, 1))
     with pytest.raises(ConvergenceError) as single:
-        optimal_values(mdp, slow, max_iters=1)
+        optimal_values(mdp, slow)
     with pytest.raises(ConvergenceError, match="policy iteration did not converge in 1 rounds") as stacked:
-        optimal_values_stack(mdp, np.stack([flat, flat, slow, slow]), max_iters=1)
+        optimal_values_stack(mdp, np.stack([flat, flat, slow, slow]))
     assert stacked.value.item == 2
     assert stacked.value.residual == single.value.residual
-    v, _ = optimal_values_stack(mdp, np.stack([flat, flat]), max_iters=1)
+    v, _ = optimal_values_stack(mdp, np.stack([flat, flat]))
     assert not v.any()
 
 

@@ -55,13 +55,11 @@ from .robustness import (
     verify_transformation_bound,
 )
 from .transforms import (
-    InvarianceBasis,
     TransformChain,
     apply_potential_shaping,
     apply_redistribution_noise,
     canonical_operator,
     differ_by,
-    invariance_basis,
     invisible_reward_discount,
     invisible_reward_transition,
     project_invariant,

@@ -18,8 +18,9 @@ Every threshold is relative: ``check_residual`` accepts an item's residual
 within ``tolerance(tol, its values)``, and policy iteration switches an
 action only where it gains more than the roundoff of the item's Q-values,
 so a reward and its positive multiples get the same optimal policy.
-``value_iteration`` and ``soft_value_iteration`` are the N=1 forms under the
-names the benchmark's tracer wraps.
+``value_iteration``, ``soft_value_iteration`` and ``USING_NUMBA`` stay only
+for the benchmark's tracer, which binds them by name; they go once it traces
+the stacked kernels.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ import itertools
 
 import numpy as np
 
-# Recorded by the benchmark's host report; no solver here is jit-compiled.
+DEFAULT_DP_TOL = 1e-10
+DEFAULT_MAX_ITERS = 100_000
+
+# Kept only for the benchmark's host report; no solver here is jit-compiled.
 USING_NUMBA = False
 
 # A float64 Bellman residual cannot be resolved below a few ulps of the
@@ -99,18 +103,17 @@ def _q_values(expected, transition, discount, v):
     return expected + discount * tv.reshape(expected.shape)
 
 
-def evaluate(transition, discount, policies, expected, tol=None):
+def evaluate(transition, discount, policies, expected):
     """Values, (N, S, k), of N policies (N, S, A) under k expected rewards (k, S, A).
 
-    One stacked solve of ``(I - gamma P_pi) v = r_pi``.  With ``tol``, a
-    sup-norm Bellman residual over the whole stack that ``check_residual``
-    rejects raises ConvergenceError; without it the residual is not computed.
+    One stacked solve of ``(I - gamma P_pi) v = r_pi``.  A sup-norm Bellman
+    residual over the whole stack that ``check_residual`` rejects at
+    ``DEFAULT_DP_TOL`` raises ConvergenceError.
     """
     r_pi = np.einsum("nsa,ksa->nsk", policies, expected)
     system, v = _solve(transition, discount, policies, r_pi)
-    if tol is not None:
-        residual = np.abs(system @ v - r_pi).max()
-        check_residual(np.array([residual]), tol, v[None], lambda _: "policy evaluation")
+    residual = np.abs(system @ v - r_pi).max()
+    check_residual(np.array([residual]), DEFAULT_DP_TOL, v[None], lambda _: "policy evaluation")
     return v
 
 
@@ -227,10 +230,10 @@ def _single(v, q, rounds, residual):
 
 
 def value_iteration(expected_reward, transition, discount, max_iters):
-    """``policy_iteration`` of one (S, A) expected reward: ``(v, q, rounds, residual)``."""
+    """``policy_iteration`` of one (S, A) expected reward: ``(v, q, rounds, residual)``; kept only for the tracer."""
     return _single(*policy_iteration(expected_reward[None], transition, discount, max_iters))
 
 
 def soft_value_iteration(expected_reward, transition, discount, weight, tol, max_iters):
-    """``soft_policy_iteration`` of one (S, A) expected reward: ``(v, q, rounds, residual)``."""
+    """``soft_policy_iteration`` of one (S, A) expected reward: ``(v, q, rounds, residual)``; kept only for the tracer."""
     return _single(*soft_policy_iteration(expected_reward[None], transition, discount, weight, tol, max_iters))

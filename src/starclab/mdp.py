@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import DEFAULT_DP_TOL, DEFAULT_MAX_ITERS
 from ._kernels import ConvergenceError  # noqa: F401  (re-exported; the solvers raise it)
 
 ROW_TOL = 1e-9
-DEFAULT_DP_TOL = 1e-10
-DEFAULT_MAX_ITERS = 100_000
 
 
 class InvalidInstance(ValueError):
@@ -179,7 +178,7 @@ def policy_evaluation(mdp: TabularMdp, reward: np.ndarray, policy: np.ndarray) -
     reward = check_reward(mdp, reward)
     policy = check_policy(mdp, policy)
     er = expected_reward(mdp, reward)
-    return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None], DEFAULT_DP_TOL)[0, :, 0]
+    return _kernels.evaluate(mdp.transition, mdp.discount, policy[None], er[None])[0, :, 0]
 
 
 def optimal_values_stack(mdp: TabularMdp, rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Brute-force and sampling oracles for validating the analytic modules.
 
 Everything here is deliberately independent of the canonicalization and
-model code: policy enumeration, return comparison over all enumerable
-policies, plain value iteration, Monte Carlo return estimation, and
-exhaustive regret-witness search.  The oracles are only feasible on small
-instances and exist to cross-check the fast paths.
+model code, and reads only ``mdp`` and the Bellman layer ``_kernels``:
+policy enumeration, return comparison over all enumerable policies, Monte
+Carlo return estimation, and exhaustive regret-witness search.  The oracles
+are only feasible on small instances and exist to cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -12,16 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .mdp import (
-    DEFAULT_DP_TOL,
-    ConvergenceError,
-    InvalidInstance,
-    TabularMdp,
-    check_reward,
-    expected_reward,
-    reward_stack,
-)
-from .transforms import invariance_basis
+from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, reward_stack
 
 DEFAULT_CAP = 4096
 SIGN_BAND = 1e-10
@@ -54,7 +45,14 @@ def _deterministic_actions(mdp: TabularMdp, indices) -> np.ndarray:
 
 
 def deterministic_policy(mdp: TabularMdp, index) -> np.ndarray:
-    """Decode a base-|A| index into a deterministic policy table, or an index array into a stack of them."""
+    """Decode a base-|A| index into a deterministic policy table, or an index array into a stack of them.
+
+    An index outside [0, |A|^|S|) raises InvalidInstance.
+    """
+    size = mdp.n_actions**mdp.n_states  # a Python int: exact beyond 2^63
+    low, high = np.min(index, initial=0), np.max(index, initial=0)
+    if low < 0 or high >= size:
+        raise InvalidInstance(f"policy index {low if low < 0 else high} is outside [0, |A|^|S| = {size})")
     return np.eye(mdp.n_actions)[_deterministic_actions(mdp, index)]
 
 
@@ -67,16 +65,14 @@ def enumerate_deterministic_policies(mdp: TabularMdp, cap: int = DEFAULT_CAP) ->
     return list(_deterministic_policies(mdp, _policy_space_size(mdp, cap)))
 
 
-def _stacked_returns(
-    mdp: TabularMdp, policies: np.ndarray, expected: np.ndarray, tol: float | None = None
-) -> np.ndarray:
+def _stacked_returns(mdp: TabularMdp, policies: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Returns of N policies under k rewards, from one solve over the stack.
 
     ``policies`` is (N, S, A) and ``expected`` holds the k rewards' expected
-    rewards, (k, S, A); the result is (k, N).  With ``tol``, a Bellman
-    residual that ``_kernels.check_residual`` rejects raises ConvergenceError.
+    rewards, (k, S, A); the result is (k, N).  A Bellman residual that
+    ``_kernels.evaluate`` rejects raises ConvergenceError.
     """
-    v = _kernels.evaluate(mdp.transition, mdp.discount, policies, expected, tol)
+    v = _kernels.evaluate(mdp.transition, mdp.discount, policies, expected)
     return np.einsum("s,nsk->kn", mdp.initial_dist, v)
 
 
@@ -184,48 +180,9 @@ def same_order_oracle(
     # Pair i is (policies[2i], policies[2i + 1]): the draws of a per-pair loop.
     rng = np.random.default_rng(seed)
     policies = rng.dirichlet(np.ones(mdp.n_actions), size=(2 * N_STOCHASTIC_PAIRS, mdp.n_states))
-    returns = _stacked_returns(mdp, policies, expected, tol=DEFAULT_DP_TOL)
+    returns = _stacked_returns(mdp, policies, expected)
     d1, d2 = returns[:, 0::2] - returns[:, 1::2]
     return bool((_signs(d1, band_1) == _signs(d2, band_2)).all())
-
-
-def value_iteration_oracle(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    weight: float | None = None,
-    tol: float = 1e-12,
-    max_sweeps: int = 1_000_000,
-) -> np.ndarray:
-    """Plain value iteration: optimal values, or soft values at ``weight``.
-
-    Sweeps the (soft) Bellman operator from zero until successive iterates
-    differ by less than ``tol``; the values are then within
-    ``tol * gamma / (1 - gamma)`` of the fixed point.
-    """
-    er = np.einsum("sat,sat->sa", mdp.transition, check_reward(mdp, reward))
-    v = np.zeros(mdp.n_states)
-    for _ in range(max_sweeps):
-        q = er + mdp.discount * (mdp.transition @ v)
-        v_new = q.max(axis=1)
-        if weight is not None:
-            v_new = v_new + weight * np.log(np.exp((q - v_new[:, None]) / weight).sum(axis=1))
-        if np.abs(v_new - v).max() < tol:
-            return v_new
-        v = v_new
-    raise ConvergenceError(f"value iteration did not settle in {max_sweeps} sweeps")
-
-
-def dense_invariant_projection(mdp: TabularMdp, tensor: np.ndarray) -> np.ndarray:
-    """Projection onto the invariance subspace through its explicit orthonormal basis.
-
-    Builds (or reuses) the O((S^2 A)^3) SVD basis of ``invariance_basis``, so
-    it is only feasible for small environments; it is the dense ground truth
-    for the closed-form ``transforms.project_invariant``.
-    """
-    basis = invariance_basis(mdp).combined_orthonormal
-    flat_basis = basis.reshape(basis.shape[0], -1)
-    tensor = np.asarray(tensor, dtype=float)
-    return ((flat_basis @ tensor.ravel()) @ flat_basis).reshape(tensor.shape)
 
 
 def monte_carlo_return(

@@ -5,16 +5,15 @@ policies are preferred: potential shaping (add ``gamma*phi(s') - phi(s)``),
 successor redistribution (move reward across next states while keeping the
 conditional mean under the transition kernel fixed), and positive scaling.
 Shaping and redistribution together span a linear subspace per environment.
-This module projects onto it in closed form (``canonical_operator``), also
-builds explicit bases for it (``invariance_basis``, the dense ground truth),
+This module projects onto it in closed form (``canonical_operator``),
 classifies reward pairs by how they differ, composes transformation chains,
 and constructs "invisible" rewards — pure-shaping or pure-redistribution
 rewards for one environment that remain meaningful in another.
+Only the tests read the dense bases of ``invariance_basis``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import weakref
 from dataclasses import dataclass
@@ -146,7 +145,7 @@ class InvarianceBasis:
     ``shaping_dirs`` has one tensor per state (indicator potentials);
     ``redistribution_dirs`` has S*A*(S-1) tensors; ``combined_orthonormal``
     is an orthonormal basis for the span of their union.  All are stacked
-    along axis 0 with reward-shaped slices.
+    along axis 0 with reward-shaped slices.  Kept only for the benchmark's tracer, with ``invariance_basis``.
     """
 
     shaping_dirs: np.ndarray
@@ -154,8 +153,8 @@ class InvarianceBasis:
     combined_orthonormal: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
 def invariance_basis(mdp: TabularMdp) -> InvarianceBasis:
+    """Dense bases by an O((S^2 A)^3) SVD, built on each call: test ground truth, kept here for the tracer."""
     n_s, n_a = mdp.n_states, mdp.n_actions
     shape = (n_s, n_a, n_s)
 

@@ -17,7 +17,8 @@ from starclab import (
 from starclab import _kernels
 from starclab._kernels import soft_value_iteration, value_iteration
 from starclab.mdp import expected_reward
-from starclab.oracles import value_iteration_oracle
+
+from _reference import value_iteration_oracle
 
 TOL = 1e-10
 ORACLE_TOL = 1e-12
@@ -112,6 +113,17 @@ def test_round_budget_exhaustion_raises(monkeypatch):
         optimal_values(mdp, reward)
     with pytest.raises(ConvergenceError, match="soft policy iteration did not converge in 1 rounds"):
         mce_policy(mdp, reward, 1.0)
+
+
+def test_evaluation_always_checks_its_residual(monkeypatch):
+    mdp, _, er = _instance(11)
+    policies = np.full((2, mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+    _kernels.evaluate(mdp.transition, mdp.discount, policies, er[None])  # the exact solve passes
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(ConvergenceError, match="policy evaluation") as info:
+        _kernels.evaluate(mdp.transition, mdp.discount, policies, er[None])
+    assert info.value.residual > _kernels.DEFAULT_DP_TOL
 
 
 @pytest.mark.parametrize("scale", (1e6, 1e9))

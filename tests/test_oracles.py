@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from starclab import (
     starc_distance,
 )
 from starclab import oracles
-from starclab.mdp import DEFAULT_DP_TOL, ConvergenceError, TabularMdp, check_reward
+from starclab.mdp import DEFAULT_DP_TOL, ConvergenceError, InvalidInstance, TabularMdp, check_reward
 from starclab.oracles import EnumerationCapExceeded
 
 
@@ -185,6 +189,29 @@ class TestEnumeration:
         for p in policies:
             assert set(np.unique(p)) <= {0.0, 1.0}
 
+    def test_index_outside_the_policy_space_is_refused(self):
+        mdp = random_mdp(0, 2, 2)
+        for index, bad in ((4, 4), (-1, -1), (np.array([0, 3, 4]), 4), (np.array([-1, 2]), -1)):
+            with pytest.raises(InvalidInstance, match=re.escape(f"policy index {bad} is outside [0, |A|^|S| = 4)")):
+                oracles.deterministic_policy(mdp, index)
+        assert oracles.deterministic_policy(mdp, np.arange(0)).shape == (0, 2, 2)
+
+    def test_index_beyond_int64_decodes(self):
+        mdp = random_mdp(0, 70, 2)
+        assert np.array_equal(oracles.deterministic_policy(mdp, 2**70 - 1).argmax(axis=1), np.ones(70))
+        assert np.flatnonzero(oracles.deterministic_policy(mdp, 2**69 + 2**64).argmax(axis=1)).tolist() == [64, 69]
+        with pytest.raises(InvalidInstance, match=f"policy index {2**70} is outside"):
+            oracles.deterministic_policy(mdp, 2**70)
+
+
+def test_oracles_read_only_mdp_and_the_bellman_layer():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("starclab")):
+            sources.update([node.module] if node.module else [alias.name for alias in node.names])
+    assert sources == {"mdp", "_kernels"}
+
 
 class TestSameOrder:
     def test_order_equivalent_pair(self):
@@ -261,9 +288,9 @@ class TestBatchedOracles:
         seen, compared = [], []
         stacked, signs = oracles._stacked_returns, oracles._signs
 
-        def spy_returns(mdp, policies, expected, tol=None):
+        def spy_returns(mdp, policies, expected):
             seen.append(policies)
-            return stacked(mdp, policies, expected, tol)
+            return stacked(mdp, policies, expected)
 
         def spy_signs(diffs, band):
             compared.append(diffs)

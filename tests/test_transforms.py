@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import starclab
 from starclab import (
     InvalidInstance,
     TabularMdp,
@@ -15,7 +16,6 @@ from starclab import (
     apply_redistribution_noise,
     boltzmann_policy,
     differ_by,
-    invariance_basis,
     invisible_reward_discount,
     canonical_operator,
     invisible_reward_transition,
@@ -29,7 +29,6 @@ from starclab import (
     three_state_chain,
 )
 from starclab.mdp import expected_reward
-from starclab.oracles import dense_invariant_projection
 from starclab.transforms import (
     Nudge,
     Redistribution,
@@ -37,8 +36,11 @@ from starclab.transforms import (
     Shaping,
     TransformChain,
     apply_chain,
+    invariance_basis,
     shaping_tensor,
 )
+
+from _reference import dense_invariant_projection
 
 
 class TestPotentialShaping:
@@ -116,6 +118,18 @@ class TestInvarianceBasis:
         gram = flat @ flat.T
         assert np.abs(gram - np.eye(len(flat))).max() < 1e-9
 
+    def test_keeps_no_reference_to_the_mdp(self):
+        mdp = random_mdp(13, 3, 2)
+        basis = invariance_basis(mdp)
+        freed = weakref.ref(mdp)
+        del mdp
+        gc.collect()
+        assert freed() is None
+        assert basis.combined_orthonormal.shape[0] > 0
+
+    def test_not_exported_from_the_package(self):
+        assert not {"invariance_basis", "InvarianceBasis"} & set(vars(starclab))
+
 
 class TestCanonicalOperator:
     @settings(max_examples=40, deadline=None)
@@ -133,10 +147,7 @@ class TestCanonicalOperator:
     def test_closed_form_matches_dense_projection(self, n_s, n_a, conc, gamma, exponent, seed):
         mdp = random_mdp(seed, n_s, n_a, concentration=conc, discount=gamma)
         tensor = 10.0**exponent * random_reward(seed + 1, n_s, n_a)
-        try:
-            dense = dense_invariant_projection(mdp, tensor)
-        finally:
-            invariance_basis.cache_clear()
+        dense = dense_invariant_projection(mdp, tensor)
         closed = project_invariant(mdp, tensor)
         assert np.linalg.norm(closed - dense) <= 1e-12 * np.linalg.norm(tensor)
 

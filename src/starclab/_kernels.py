@@ -70,11 +70,11 @@ def tolerance(tol, values):
 
 def check_residual(residual, tol, values, failure):
     """Raise ConvergenceError for the first item of a stack whose residual,
-    (N,), exceeds ``tolerance(tol, values)``; ``failure(i)`` opens its message."""
-    if not (residual > tol).any():
+    (N,), exceeds ``tolerance(tol, values)`` or is NaN; ``failure(i)`` opens its message."""
+    if (residual <= tol).all():
         return  # the floor only raises tol, so no item needs it
     tols = tolerance(tol, values)
-    bad = np.flatnonzero(residual > tols)
+    bad = np.flatnonzero(~(residual <= tols))
     if bad.size:
         i = int(bad[0])
         raise ConvergenceError(

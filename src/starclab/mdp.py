@@ -32,6 +32,54 @@ def is_finite_real(value) -> bool:
     return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or an int beyond float range
+        raise InvalidInstance(f"{what} is ragged or not numeric") from None
+
+
+def finite_array(value, what: str) -> np.ndarray:
+    """The one rule for an outside value that must be a finite float array.
+
+    A float array comes back uncopied.  A ragged or non-numeric value, or a
+    NaN or infinite entry, raises InvalidInstance naming ``what``.
+    """
+    array = _float_array(value, what)
+    if not np.isfinite(array).all():
+        raise InvalidInstance(f"{what} has non-finite entries")
+    return array
+
+
+def labelled_stack(pairs, ndim: int, label: str, noun: str) -> tuple[tuple, np.ndarray]:
+    """The ids of (id, array) ``pairs``, and their arrays as one new, locked float stack.
+
+    The arrays must be finite, ``ndim``-D and of one shape, and the ids
+    unique.  All arrays are converted in one pass; only if that fails are
+    they walked in order, to name the first bad one by ``label.format(id)``.
+    """
+    ids = tuple(rid for rid, _ in pairs)
+    if not ids:
+        raise InvalidInstance(f"need at least one {noun}")
+    if len(set(ids)) != len(ids):
+        raise InvalidInstance(f"{noun} ids must be unique, got {ids}")
+    try:
+        stack = np.array([array for _, array in pairs], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if stack is None or stack.ndim != ndim + 1 or not np.isfinite(stack).all():
+        for k, (rid, array) in enumerate(pairs):
+            array = _float_array(array, label.format(rid))
+            shape = array.shape if k == 0 else shape  # the first array's
+            if array.ndim != ndim or array.shape != shape or not np.isfinite(array).all():
+                raise InvalidInstance(
+                    f"{label.format(rid)} must be finite and {ndim}-D, of the first {noun}'s shape {shape}; "
+                    f"got shape {array.shape}"
+                )
+    stack.setflags(write=False)
+    return ids, stack
+
+
 @dataclass(frozen=True, eq=False)
 class TabularMdp:
     """Finite environment: transition tensor, initial distribution, discount.
@@ -45,8 +93,8 @@ class TabularMdp:
     discount: float
 
     def __post_init__(self):
-        transition = np.array(self.transition, dtype=float)
-        initial_dist = np.array(self.initial_dist, dtype=float)
+        transition = finite_array(self.transition, "transition").copy()
+        initial_dist = finite_array(self.initial_dist, "initial_dist").copy()
         if transition.ndim != 3 or transition.shape[0] != transition.shape[2]:
             raise InvalidInstance(
                 f"transition must have shape (S, A, S), got {transition.shape}"
@@ -58,8 +106,6 @@ class TabularMdp:
             raise InvalidInstance(
                 f"initial_dist must have shape ({n_states},), got {initial_dist.shape}"
             )
-        if not np.isfinite(transition).all():
-            raise InvalidInstance("transition has non-finite entries")
         if (transition < 0).any():
             raise InvalidInstance("transition has negative entries")
         row_sums = transition.sum(axis=2)
@@ -72,8 +118,8 @@ class TabularMdp:
             raise InvalidInstance("initial_dist has negative entries")
         if abs(initial_dist.sum() - 1.0) > ROW_TOL:
             raise InvalidInstance(f"initial_dist sums to {initial_dist.sum()!r}, not 1")
-        if not 0.0 < self.discount < 1.0:
-            raise InvalidInstance(f"discount must lie in (0, 1), got {self.discount!r}")
+        if not (is_finite_real(self.discount) and 0.0 < self.discount < 1.0):
+            raise InvalidInstance(f"discount must be a number in (0, 1), got {self.discount!r}")
         transition.setflags(write=False)
         initial_dist.setflags(write=False)
         object.__setattr__(self, "transition", transition)
@@ -117,23 +163,17 @@ class TabularMdp:
         for key in ("n_states", "n_actions", "discount", "mu0", "transition"):
             if key not in data:
                 raise InvalidInstance(f"MDP document is missing field {key!r}")
-        mdp = cls(
-            transition=np.asarray(data["transition"], dtype=float),
-            initial_dist=np.asarray(data["mu0"], dtype=float),
-            discount=float(data["discount"]),
-        )
-        if mdp.n_states != int(data["n_states"]) or mdp.n_actions != int(data["n_actions"]):
+        mdp = cls(transition=data["transition"], initial_dist=data["mu0"], discount=data["discount"])
+        if (mdp.n_states, mdp.n_actions) != (data["n_states"], data["n_actions"]):
             raise InvalidInstance("declared n_states/n_actions do not match the transition tensor")
         return mdp
 
 
 def check_reward(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
-    reward = np.asarray(reward, dtype=float)
+    reward = finite_array(reward, "reward")
     shape = (mdp.n_states, mdp.n_actions, mdp.n_states)
     if reward.shape != shape:
         raise InvalidInstance(f"reward must have shape {shape}, got {reward.shape}")
-    if not np.isfinite(reward).all():
-        raise InvalidInstance("reward has non-finite entries")
     return reward
 
 
@@ -145,7 +185,7 @@ def reward_stack(mdp: TabularMdp, rewards) -> np.ndarray:
     """
     try:
         stack = np.array(rewards, dtype=float)
-    except (TypeError, ValueError):  # ragged, or entries that are not numbers
+    except (TypeError, ValueError, OverflowError):
         stack = None
     shape = (mdp.n_states, mdp.n_actions, mdp.n_states)
     if stack is None or stack.shape[1:] != shape or not len(stack) or not np.isfinite(stack).all():
@@ -154,7 +194,7 @@ def reward_stack(mdp: TabularMdp, rewards) -> np.ndarray:
 
 
 def check_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
-    policy = np.asarray(policy, dtype=float)
+    policy = finite_array(policy, "policy")
     shape = (mdp.n_states, mdp.n_actions)
     if policy.shape != shape:
         raise InvalidInstance(f"policy must have shape {shape}, got {policy.shape}")
@@ -281,14 +321,10 @@ def load_reward(path, mdp: TabularMdp | None = None) -> np.ndarray:
         data = json.load(fh)
     if "values" not in data:
         raise InvalidInstance("reward document is missing field 'values'")
-    reward = np.asarray(data["values"], dtype=float)
+    reward = finite_array(data["values"], "reward")
     if reward.ndim != 3 or reward.shape[0] != reward.shape[2]:
         raise InvalidInstance(f"reward values must have shape (S, A, S), got {reward.shape}")
-    if not np.isfinite(reward).all():
-        raise InvalidInstance("reward has non-finite entries")
-    if mdp is not None:
-        reward = check_reward(mdp, reward)
-    return reward
+    return reward if mdp is None else check_reward(mdp, reward)
 
 
 def save_reward(reward: np.ndarray, path) -> None:

@@ -80,14 +80,18 @@ def _standardized(
 
     Coordinates are orthonormal, so norms and distances computed on them are
     those of the canonical tensors.  A trivial reward's unit coordinates are
-    zero.
+    zero.  Each reward is first brought to a largest |entry| in [0.5, 1) by
+    an exact power of two, so no square in a norm overflows or underflows,
+    and its coordinates and norm are scaled back by the same power.
     """
+    exponents = np.frexp(np.abs(rewards).reshape(len(rewards), -1).max(axis=1))[1]
+    rewards = np.ldexp(rewards, -exponents.reshape(-1, 1, 1, 1))
     coords = operator.coordinates(rewards)
     norms = np.linalg.norm(coords, axis=1)
     trivial = norms <= TRIVIAL_RTOL * np.linalg.norm(rewards.reshape(len(rewards), -1), axis=1)
     units = np.zeros_like(coords)
     np.divide(coords, norms[:, None], out=units, where=~trivial[:, None])
-    return coords, norms, units
+    return np.ldexp(coords, exponents[:, None]), np.ldexp(norms, exponents), units
 
 
 def canonicalize(mdp: TabularMdp, reward: np.ndarray) -> CanonicalReward:

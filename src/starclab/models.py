@@ -28,6 +28,7 @@ from .mdp import (
     check_reward,
     expected_reward,
     is_finite_real,
+    labelled_stack,
     optimal_values_stack,
     reward_stack,
 )
@@ -51,24 +52,27 @@ def _uniform_policies(mdp: TabularMdp, rewards: np.ndarray) -> np.ndarray:
     return support / support.sum(axis=2, keepdims=True)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Per-state softmax over the actions of (N, S, A) logits, max-subtracted so no exp overflows."""
+    logits = logits - logits.max(axis=2, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=2, keepdims=True)
+
+
 def _boltzmann_policies(mdp: TabularMdp, rewards: np.ndarray, beta: float) -> np.ndarray:
     """Boltzmann policies (N, S, A) of a checked (N, S, A, S) reward stack."""
     _, q = optimal_values_stack(mdp, rewards)
-    logits = beta * q
-    logits -= logits.max(axis=2, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=2, keepdims=True)
+    return _softmax(beta * q)
 
 
 def _mce_policies(mdp: TabularMdp, rewards: np.ndarray, alpha: float) -> np.ndarray:
     """Maximal-causal-entropy policies (N, S, A) of a checked (N, S, A, S) reward stack."""
     tol = DEFAULT_DP_TOL
-    v, q, rounds, resid = _kernels.soft_policy_iteration(
+    _, q, rounds, resid = _kernels.soft_policy_iteration(
         expected_reward(mdp, rewards), mdp.transition, mdp.discount, alpha, tol, DEFAULT_MAX_ITERS
     )
     _kernels.check_residual(resid, tol, q, lambda i: f"soft policy iteration did not converge in {rounds[i]} rounds")
-    policy = np.exp((q - v[..., None]) / alpha)
-    return policy / policy.sum(axis=2, keepdims=True)
+    return _softmax(q / alpha)
 
 
 class _ModelKind(NamedTuple):
@@ -155,46 +159,28 @@ def boltzmann_policy(mdp: TabularMdp, reward: np.ndarray, beta: float) -> np.nda
 
 
 def mce_policy(mdp: TabularMdp, reward: np.ndarray, alpha: float) -> np.ndarray:
-    """Maximal-causal-entropy policy: exp((Q - V)/alpha) at the soft fixed point."""
+    """Maximal-causal-entropy policy: softmax(Q / alpha) at the soft fixed point."""
     return BehavioralModelSpec("mce", mdp, alpha=alpha)(reward)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelTable:
     """A behavioural model materialized over a finite list of rewards: finite (S, A) policies of one shape.
 
-    ``policies`` and the tables derived from it are snapshots of the entries,
-    taken once per table.
+    Its ``ids`` are unique, ``policies`` is a locked (n, S, A) copy of the
+    entries, which are its rows, and the tables derived from it are snapshots.
     """
 
     entries: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self):
-        try:
-            valid = self.policies.ndim == 3 and np.isfinite(self.policies).all()
-        except ValueError:  # no entries, or policies of mixed shapes
-            valid = False
-        if not valid:
-            shape = np.shape(self.entries[0][1]) if self.entries else None
-            for rid, policy in self.entries:
-                if np.ndim(policy) != 2 or np.shape(policy) != shape or not np.isfinite(policy).all():
-                    raise InvalidInstance(f"policy {rid!r} must be finite, of the first policy's (S, A) shape {shape}")
-            raise InvalidInstance("a model table needs at least one policy")
+        ids, policies = labelled_stack(self.entries, 2, "policy {!r}", "policy")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "policies", policies)
+        object.__setattr__(self, "entries", tuple(zip(ids, policies)))
 
     def policy(self, reward_id: str) -> np.ndarray:
-        for rid, pol in self.entries:
-            if rid == reward_id:
-                return pol
-        raise KeyError(reward_id)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rid for rid, _ in self.entries)
-
-    @cached_property
-    def policies(self) -> np.ndarray:
-        """The policies as one (n, S, A) array, in entry order; ``flat`` is its (n, S*A) view."""
-        return np.stack([policy for _, policy in self.entries])
+        return dict(zip(self.ids, self.policies))[reward_id]
 
     @property
     def flat(self) -> np.ndarray:

@@ -27,6 +27,8 @@ from .mdp import (
     InvalidInstance,
     TabularMdp,
     check_reward,
+    finite_array,
+    labelled_stack,
     occupancy_measure,
     random_reward,
     reward_stack,
@@ -62,48 +64,22 @@ class HypothesisSet:
     """Ordered, uniquely-identified finite set of candidate rewards.
 
     The rewards must be finite 3-D arrays of one shape.  Instances are
-    immutable (the rewards are copied into one locked float stack) and
-    hashed by identity, so tables derived from the set can be cached: the
-    STARC distance table is built once per MDP it is read on.
+    immutable (the rewards are copied into one locked float ``stack``, and
+    ``rewards`` are its rows, labelled by ``ids``) and hashed by identity,
+    so tables derived from the set can be cached: the STARC distance table
+    is built once per MDP it is read on.
     """
 
     rewards: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self):
-        if not self.rewards:
-            raise InvalidInstance("hypothesis set must be nonempty")
-        ids = [rid for rid, _ in self.rewards]
-        if len(set(ids)) != len(ids):
-            raise InvalidInstance("hypothesis ids must be unique")
-        try:
-            stack = np.array([reward for _, reward in self.rewards], dtype=float)
-        except (TypeError, ValueError):  # a ragged or non-numeric reward, or rewards of mixed shapes
-            stack = None
-        if stack is None or stack.ndim != 4 or not np.isfinite(stack).all():
-            shape = None  # the first reward's
-            for rid, reward in self.rewards:
-                try:
-                    reward = np.array(reward, dtype=float)
-                except (TypeError, ValueError):
-                    raise InvalidInstance(f"hypothesis {rid!r}: reward is ragged or not numeric") from None
-                shape = shape or reward.shape
-                if reward.ndim != 3 or reward.shape != shape or not np.isfinite(reward).all():
-                    raise InvalidInstance(
-                        f"hypothesis {rid!r}: reward must be finite and 3-D, of the first reward's shape {shape}; "
-                        f"got shape {reward.shape}"
-                    )
-        stack.setflags(write=False)
+        ids, stack = labelled_stack(self.rewards, 3, "hypothesis {!r}: reward", "reward")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "rewards", tuple(zip(ids, stack)))
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rid for rid, _ in self.rewards)
-
     def reward(self, reward_id: str) -> np.ndarray:
-        for rid, r in self.rewards:
-            if rid == reward_id:
-                return r
-        raise KeyError(reward_id)
+        return dict(zip(self.ids, self.stack))[reward_id]
 
 
 @dataclass(frozen=True)
@@ -157,7 +133,7 @@ def _pair_distances(mdp_eval: TabularMdp, hypotheses: HypothesisSet) -> np.ndarr
     tables = _DISTANCES.setdefault(hypotheses, weakref.WeakKeyDictionary())
     table = tables.get(mdp_eval)
     if table is None:
-        table = tables[mdp_eval] = distance_table(mdp_eval, [reward for _, reward in hypotheses.rewards])
+        table = tables[mdp_eval] = distance_table(mdp_eval, hypotheses.stack)
         table.setflags(write=False)
     return table
 
@@ -267,7 +243,7 @@ def verify_transformation_bound(
     """Check that a chain's single nudge is small enough for distance epsilon.
 
     For each probe the nudge step must have norm at most
-    ``|canonical(before)| * sin(2*arcsin(epsilon/2))`` (plus 1e-9), and the
+    ``|canonical(before)| * (sin(2*arcsin(epsilon/2)) + 1e-9)``, and the
     end-to-end distance between probe and transformed probe must be at most
     ``epsilon`` (plus 1e-8).
     """
@@ -287,7 +263,7 @@ def verify_transformation_bound(
             current = apply_step(mdp, current, step)
         if norm_before is None:
             norm_before = canonicalize(mdp, probe).norm
-        bound = norm_before * nudge_bound(epsilon) + NUDGE_TOL
+        bound = norm_before * (nudge_bound(epsilon) + NUDGE_TOL)
         distance = starc_distance(mdp, probe, current).distance
         nudge_ok = nudge_norm <= bound
         dist_ok = distance <= epsilon + DIST_TOL
@@ -430,8 +406,8 @@ class CounterexampleCertificate:
             scenario=data["scenario"],
             mdp_gen=TabularMdp.from_dict(data["mdp_gen"]),
             mdp_eval=TabularMdp.from_dict(data["mdp_eval"]),
-            reward_1=np.asarray(data["reward_1"], dtype=float),
-            reward_2=np.asarray(data["reward_2"], dtype=float),
+            reward_1=finite_array(data["reward_1"], "reward_1"),
+            reward_2=finite_array(data["reward_2"], "reward_2"),
             model=data["model"],
             policy_metric=data["policy_metric"],
             policy_gap=float(data["policy_gap"]),

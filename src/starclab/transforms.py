@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward
+from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, finite_array
 
 SUBSPACE_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-8
@@ -30,11 +30,9 @@ MAX_POTENTIAL_ATTEMPTS = 100
 
 def shaping_tensor(mdp: TabularMdp, phi: np.ndarray, discount: float | None = None) -> np.ndarray:
     """The reward tensor ``gamma*phi(s') - phi(s)``, broadcast over actions."""
-    phi = np.asarray(phi, dtype=float)
+    phi = finite_array(phi, "potential")
     if phi.shape != (mdp.n_states,):
         raise InvalidInstance(f"potential must have shape ({mdp.n_states},), got {phi.shape}")
-    if not np.isfinite(phi).all():
-        raise InvalidInstance("potential has non-finite entries")
     gamma = mdp.discount if discount is None else discount
     return (
         gamma * phi[None, None, :]
@@ -190,7 +188,7 @@ def invariance_basis(mdp: TabularMdp) -> InvarianceBasis:
 
 def project_invariant(mdp: TabularMdp, tensor: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a reward-shaped tensor onto the invariance subspace."""
-    tensor = np.asarray(tensor, dtype=float)
+    tensor = check_reward(mdp, tensor)
     operator = canonical_operator(mdp)
     return tensor - operator.tensor(operator.coordinates(tensor[None]))[0]
 
@@ -338,13 +336,13 @@ class TransformChain:
         for item in json.loads(text):
             kind = item.get("kind")
             if kind == "shaping":
-                steps.append(Shaping(np.asarray(item["phi"], dtype=float)))
+                steps.append(Shaping(finite_array(item["phi"], "shaping phi")))
             elif kind == "redistribution":
-                steps.append(Redistribution(np.asarray(item["delta"], dtype=float)))
+                steps.append(Redistribution(finite_array(item["delta"], "redistribution delta")))
             elif kind == "scale":
                 steps.append(Scale(float(item["c"])))
             elif kind == "nudge":
-                steps.append(Nudge(np.asarray(item["delta"], dtype=float)))
+                steps.append(Nudge(finite_array(item["delta"], "nudge delta")))
             else:
                 raise InvalidInstance(f"unknown transform step kind {kind!r}")
         return cls(tuple(steps))

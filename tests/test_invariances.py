@@ -1,20 +1,28 @@
-"""Relabelling states and actions changes nothing the package computes.
+"""Relabelling states and actions, and rescaling rewards, change nothing the package computes.
 
 The STARC distance, the behavioural models and the policy-ordering oracle
 are defined without reference to how states and actions are numbered, so
 renumbering both must leave distances and verdicts as they are and permute
 policies the same way.  Each case is a random S=5, A=3 MDP with a random
 permutation of its states and one of its actions, over random, zero,
-rounded (tied) and scaled rewards.
+rounded (tied) and scaled rewards.  The distance, and so the robustness
+checker, must also read a reward the same at any positive scale a float
+holds, and after potential shaping and redistribution.
 """
 
 import numpy as np
 
 from starclab import (
     BehavioralModelSpec,
+    HypothesisSet,
+    ModelTable,
     TabularMdp,
     apply_potential_shaping,
+    apply_redistribution_noise,
+    check_epsilon_robust,
     distance_table,
+    materialize_model,
+    min_robust_epsilon,
     random_mdp,
     random_reward,
     same_order_oracle,
@@ -47,6 +55,38 @@ def test_distance_table_is_unchanged():
     for mdp, rewards, relabelled, perm in _cases():
         table = distance_table(mdp, list(rewards))
         assert np.abs(distance_table(relabelled, list(_relabel(rewards, *perm))) - table).max() <= 1e-12
+
+
+def test_distance_table_is_unchanged_at_any_scale():
+    for mdp, rewards, _, _ in _cases():
+        table = distance_table(mdp, list(rewards))
+        for c in 10.0 ** np.arange(-300, 301, 50):
+            assert np.abs(distance_table(mdp, list(c * rewards)) - table).max() <= 1e-12, c
+
+
+def test_checker_verdicts_are_unchanged_by_scale_shaping_and_redistribution():
+    for case, (mdp, _, _, _) in enumerate(_cases()):
+        rewards = [random_reward(1000 + 10 * case + k, N_STATES, N_ACTIONS) for k in range(6)]
+        ids = [f"r{k}" for k in range(6)]
+        f = materialize_model(BehavioralModelSpec("boltzmann", mdp, beta=2.0), list(zip(ids, rewards)))
+        g = ModelTable(tuple(zip(ids, f.policies[[1, 0, 3, 2, 5, 4]])))  # every g-policy is an f-policy
+        hypotheses = HypothesisSet(tuple(zip(ids, rewards)))
+        epsilon = min_robust_epsilon(f, g, hypotheses, mdp)
+        assert 0.0 < epsilon < 1.0
+        assert check_epsilon_robust(f, g, hypotheses, mdp, epsilon + 1e-6).robust
+        assert not check_epsilon_robust(f, g, hypotheses, mdp, epsilon - 1e-6).robust
+        rng = np.random.default_rng(case)
+        for c in (1e-6, 1e6):
+            moved = [
+                apply_redistribution_noise(
+                    mdp, c * apply_potential_shaping(mdp, r, rng.standard_normal(N_STATES)), seed=k, magnitude=c
+                )
+                for k, r in enumerate(rewards)
+            ]
+            other = HypothesisSet(tuple(zip(ids, moved)))
+            assert abs(min_robust_epsilon(f, g, other, mdp) - epsilon) <= 1e-12, c
+            assert check_epsilon_robust(f, g, other, mdp, epsilon + 1e-6).robust, c
+            assert not check_epsilon_robust(f, g, other, mdp, epsilon - 1e-6).robust, c
 
 
 def test_model_policies_are_permuted():

@@ -1,12 +1,14 @@
 """The exact Bellman solvers against plain value iteration and their own residuals."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from starclab import (
     ConvergenceError,
+    boltzmann_policy,
     mce_policy,
     optimal_policy_uniform,
     optimal_values,
@@ -134,3 +136,20 @@ def test_reward_scale_reaches_roundoff_floor(scale):
     np.testing.assert_allclose(v, scale * v_unit, rtol=1e-9, atol=1e-9 * scale)
     policy = mce_policy(mdp, scale * reward, scale)
     np.testing.assert_allclose(policy, mce_policy(mdp, reward, 1.0), atol=1e-9)
+
+
+def test_nan_residual_is_refused():
+    # 1e307 * R overflows the Q-values at gamma = 0.999; NaN fails every
+    # comparison, so "residual > tol" alone would let it through.
+    mdp = random_mdp(0, 3, 2, discount=0.999)
+    reward = 1e307 * random_reward(0, 3, 2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError, match="residual nan exceeds tolerance") as info:
+            optimal_values(mdp, reward)
+        assert math.isnan(info.value.residual) and info.value.item == 0
+        with pytest.raises(ConvergenceError, match="residual nan exceeds tolerance"):
+            boltzmann_policy(mdp, reward, 1.0)
+    for residual in ([np.nan], [0.0, np.nan]):
+        with pytest.raises(ConvergenceError, match="residual nan") as info:
+            _kernels.check_residual(np.array(residual), TOL, np.ones((len(residual), 2)), lambda i: "item")
+        assert info.value.item == len(residual) - 1

@@ -15,7 +15,16 @@ from starclab import (
     random_mdp,
     random_reward,
 )
-from starclab.mdp import check_reward, load_mdp, load_reward, reward_stack, save_mdp, save_reward
+from starclab.mdp import (
+    check_policy,
+    check_reward,
+    finite_array,
+    load_mdp,
+    load_reward,
+    reward_stack,
+    save_mdp,
+    save_reward,
+)
 from starclab.oracles import enumerate_deterministic_policies, monte_carlo_return
 
 
@@ -52,6 +61,47 @@ class TestConstruction:
     def test_arrays_immutable(self, mdp_4x3):
         with pytest.raises(ValueError):
             mdp_4x3.transition[0, 0, 0] = 0.5
+
+
+class TestFiniteInputs:
+    def test_float_arrays_come_back_uncopied(self, reward_4x3):
+        assert finite_array(reward_4x3, "reward") is reward_4x3
+        assert finite_array([[1, 2]], "x").dtype == np.float64
+
+    def test_bad_values_named(self):
+        for value, problem in (
+            ([[1.0, 2.0], [3.0]], "is ragged or not numeric"),
+            ([["x", 1.0]], "is ragged or not numeric"),
+            ([10**400], "is ragged or not numeric"),
+            ([1.0, np.nan], "has non-finite entries"),
+            (-np.inf, "has non-finite entries"),
+        ):
+            with pytest.raises(InvalidInstance, match=f"^thing {problem}$"):
+                finite_array(value, "thing")
+
+    def test_nan_initial_dist_refused(self):
+        # NaN fails both the negativity and the sum test.
+        t = np.full((3, 1, 3), 1 / 3)
+        with pytest.raises(InvalidInstance, match="initial_dist has non-finite entries"):
+            TabularMdp(transition=t, initial_dist=np.array([np.nan, 0.5, 0.5]), discount=0.9)
+
+    def test_discount_must_be_a_number(self):
+        t = np.ones((1, 1, 1))
+        for bad in ("0.9", "0.9x", np.nan, True, None):
+            with pytest.raises(InvalidInstance, match="discount must be a number in"):
+                TabularMdp(transition=t, initial_dist=np.array([1.0]), discount=bad)
+
+    def test_nan_policy_refused(self, mdp_4x3, reward_4x3):
+        policy = uniform_policy(mdp_4x3)
+        policy[1, 0] = np.nan
+        for call in (
+            lambda: check_policy(mdp_4x3, policy),
+            lambda: policy_evaluation(mdp_4x3, reward_4x3, policy),
+            lambda: policy_return(mdp_4x3, reward_4x3, policy),
+            lambda: occupancy_measure(mdp_4x3, policy),
+        ):
+            with pytest.raises(InvalidInstance, match="policy has non-finite entries"):
+                call()
 
 
 def _unreachable_reference(transition, initial):
@@ -268,6 +318,26 @@ class TestJsonIO:
         path = tmp_path / "reward.json"
         save_reward(reward_4x3, path)
         assert np.array_equal(load_reward(path, mdp_4x3), reward_4x3)
+
+    def test_malformed_documents_refused_naming_the_field(self, tmp_path, mdp_4x3, reward_4x3):
+        path = tmp_path / "doc.json"
+        good = mdp_4x3.to_dict()
+        ragged = json.loads(json.dumps(good))
+        ragged["transition"][1][2] = ragged["transition"][1][2][:3]
+        for doc, field in (
+            (ragged, "transition is ragged"),
+            ({**good, "mu0": [0.5, 0.5, "x", 0.0]}, "initial_dist is ragged or not numeric"),
+            ({**good, "discount": "0.9x"}, "discount must be a number"),
+            ({**good, "discount": "0.9"}, "discount must be a number"),
+            ({**good, "n_states": "4"}, "declared n_states"),
+        ):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidInstance, match=field):
+                load_mdp(path)
+        for values in (reward_4x3.tolist()[:3] + [[[1.0]]], [[["x"]]]):
+            path.write_text(json.dumps({"values": values}))
+            with pytest.raises(InvalidInstance, match="reward is ragged or not numeric"):
+                load_reward(path)
 
     def test_loader_reports_first_violation(self, tmp_path):
         path = tmp_path / "bad.json"

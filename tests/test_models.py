@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestMce:
     def test_invalid_weight(self, mdp_4x3, reward_4x3):
         with pytest.raises(InvalidInstance):
             mce_policy(mdp_4x3, reward_4x3, 0.0)
+
+    def test_reward_far_above_the_weight(self):
+        # q / alpha near 1e21: exp((q - v) / alpha) with the evaluated v overflows.
+        for seed in range(5):
+            mdp, reward = random_mdp(seed, 4, 3), random_reward(seed, 4, 3)
+            for r, alpha in ((reward, 1e-21), (1e12 * reward, 1e-9)):
+                policy = mce_policy(mdp, r, alpha)
+                assert np.isfinite(policy).all() and np.abs(policy.sum(axis=1) - 1.0).max() <= 1e-12
+            for c in (1e-6, 1e6):
+                assert np.abs(mce_policy(mdp, c * reward, c * 1e-21) - mce_policy(mdp, reward, 1e-21)).max() <= 1e-9
 
 
 class TestSpecAndMaterialize:
@@ -243,6 +254,29 @@ class TestModelTable:
             ModelTable(())
         table = ModelTable((("a", policy), ("b", 2 * policy)))
         assert table.policies.shape == (2, 4, 3) and table.flat.shape == (2, 12)
+
+    def test_refuses_ragged_or_non_numeric_policies_naming_the_id(self, mdp_4x3, reward_4x3):
+        policy = boltzmann_policy(mdp_4x3, reward_4x3, 1.0)
+        ragged = policy.tolist()
+        ragged[1] = ragged[1][:2]
+        words = policy.tolist()
+        words[0][0] = "x"
+        for bad in (ragged, words):
+            with pytest.raises(InvalidInstance, match="policy 'b' is ragged or not numeric"):
+                ModelTable((("a", policy), ("b", bad)))
+
+    def test_refuses_repeated_ids(self, mdp_4x3, reward_4x3):
+        policy = boltzmann_policy(mdp_4x3, reward_4x3, 1.0)
+        with pytest.raises(InvalidInstance, match="ids must be unique"):
+            ModelTable((("a", policy), ("b", policy), ("a", policy)))
+
+    def test_pickle_round_trip(self, mdp_4x3):
+        policies = [boltzmann_policy(mdp_4x3, random_reward(80 + k, 4, 3), 1.0) for k in range(3)]
+        table = ModelTable(tuple(zip("abc", policies)))
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy.ids == table.ids == ("a", "b", "c")
+        assert np.array_equal(copy.policies, table.policies) and np.array_equal(copy.policy("b"), policies[1])
+        assert np.array_equal(copy.self_gaps, table.self_gaps)
 
     def test_self_gaps_are_a_read_only_snapshot(self, mdp_4x3):
         policies = [boltzmann_policy(mdp_4x3, random_reward(80 + k, 4, 3), 1.0) for k in range(3)]

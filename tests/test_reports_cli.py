@@ -391,6 +391,28 @@ class TestCli:
             assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params
             assert f"validation error: {path}:" in capsys.readouterr().err, params
 
+    def test_malformed_input_files_exit_validation_naming_the_field(self, io_files, capsys):
+        mdp, r_1, _, paths, tmp = io_files
+        ragged_values = r_1.tolist()
+        ragged_values[0][1] = ragged_values[0][1][:2]
+        word_values = r_1.tolist()
+        word_values[2][0][1] = "x"
+        ragged_rows = mdp.to_dict()
+        ragged_rows["transition"][1][0] = ragged_rows["transition"][1][0] + [0.0]
+        cases = (
+            ("--reward1", {"values": ragged_values}, "reward is ragged or not numeric"),
+            ("--reward1", {"values": word_values}, "reward is ragged or not numeric"),
+            ("--mdp", ragged_rows, "transition is ragged or not numeric"),
+            ("--mdp", {**mdp.to_dict(), "discount": "0.9x"}, "discount must be a number in (0, 1), got '0.9x'"),
+            ("--mdp", {**mdp.to_dict(), "discount": "0.9"}, "discount must be a number in (0, 1), got '0.9'"),
+        )
+        for flag, doc, message in cases:
+            bad = tmp / "bad.json"
+            bad.write_text(json.dumps(doc))
+            files = {"--mdp": paths["mdp"], "--reward1": paths["r1"], "--reward2": paths["r2"], flag: bad}
+            assert main(["starc", *(str(item) for pair in files.items() for item in pair)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps({"kind": "not-a-kind"}))

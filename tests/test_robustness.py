@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -100,6 +101,20 @@ class TestChecker:
                 HypothesisSet((first, ("b", bad), ("c", np.zeros((2, 1, 2)))))
         with pytest.raises(InvalidInstance, match=r"'a': reward must be finite and 3-D"):
             HypothesisSet((("a", 1.0), ("b", 2.0)))
+
+    def test_empty_or_repeated_ids_refused(self):
+        with pytest.raises(InvalidInstance, match="need at least one reward"):
+            HypothesisSet(())
+        reward = np.zeros((2, 1, 2))
+        with pytest.raises(InvalidInstance, match="reward ids must be unique"):
+            HypothesisSet((("a", reward), ("b", reward), ("a", reward)))
+
+    def test_pickle_round_trip(self, mdp_4x3):
+        hyp, f, g = _swap_tables(mdp_4x3)
+        copy = pickle.loads(pickle.dumps(hyp))
+        assert copy.ids == hyp.ids and np.array_equal(copy.stack, hyp.stack)
+        assert np.array_equal(copy.reward("x2"), hyp.reward("x2"))
+        assert check_epsilon_robust(f, g, copy, mdp_4x3, 0.0) == check_epsilon_robust(f, g, hyp, mdp_4x3, 0.0)
 
     def test_non_finite_policy_refused_before_the_checker(self, mdp_4x3):
         # A NaN policy compares false with everything, so the checker would
@@ -360,6 +375,19 @@ class TestTransformationBound:
             )
         assert worst > eps
 
+    def test_nudge_verdict_does_not_depend_on_scale(self):
+        # At 1e-12 an absolute slack of 1e-9 let through a nudge about 260
+        # times the probe's canonical norm.
+        mdp, reward, eps = random_mdp(3, 4, 2), random_reward(4, 4, 2), 0.1
+        unit = standardize(mdp, random_reward(5, 4, 2))
+        limit = canonicalize(mdp, reward).norm * nudge_bound(eps)
+        for scale in (1e-12, 1.0, 1e12):
+            for size, want in ((500.0, False), (0.5 * limit, True)):
+                chain = TransformChain((Nudge(scale * size * unit),))
+                _, [report] = verify_transformation_bound(mdp, chain, [scale * reward], epsilon=eps)
+                assert report["nudge_ok"] is want, (scale, size)
+                assert report["nudge_bound"] == pytest.approx(scale * limit * (1 + 1e-9 / nudge_bound(eps)), rel=1e-12)
+
     def test_multiple_nudges_rejected(self, mdp_4x3, reward_4x3):
         chain = TransformChain((Nudge(np.zeros((4, 3, 4))), Nudge(np.zeros((4, 3, 4)))))
         with pytest.raises(InvalidInstance, match="more than one nudge"):
@@ -409,6 +437,14 @@ def test_fresh_certificates_verify_exactly():
     for cert, max_gap in zip(certificates, (1e-6, 1e-6, 1e-3, 1e-6)):
         assert cert.verify(tol=0.0), cert.scenario
         assert cert.policy_gap < max_gap, cert.scenario
+
+
+def test_certificate_document_with_non_finite_reward_refused():
+    data = perturbation_counterexample(random_mdp(60, 3, 2), delta=1e-2).to_dict()
+    assert CounterexampleCertificate.from_dict(data).verify()
+    data["reward_2"][0][0][0] = math.inf
+    with pytest.raises(InvalidInstance, match="reward_2 has non-finite entries"):
+        CounterexampleCertificate.from_dict(data)
 
 
 class TestDiscountCounterexample:

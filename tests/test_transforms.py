@@ -1,4 +1,5 @@
 import gc
+import json
 import time
 import tracemalloc
 import weakref
@@ -347,3 +348,22 @@ class TestTransformChain:
     def test_scale_must_be_positive(self, mdp_4x3, reward_4x3):
         with pytest.raises(InvalidInstance, match="positive"):
             apply_chain(mdp_4x3, reward_4x3, TransformChain((Scale(-1.0),)))
+
+    def test_malformed_json_steps_refused(self):
+        for step, message in (
+            ({"kind": "shaping", "phi": [0.0, float("nan")]}, "shaping phi has non-finite entries"),
+            ({"kind": "redistribution", "delta": [[0.0], [1.0, 2.0]]}, "redistribution delta is ragged"),
+            ({"kind": "nudge", "delta": [["x"]]}, "nudge delta is ragged or not numeric"),
+        ):
+            with pytest.raises(InvalidInstance, match=message):
+                TransformChain.from_json(json.dumps([step]))
+
+
+def test_project_invariant_checks_its_tensor(mdp_4x3, reward_4x3):
+    # The operator would reshape a tensor of the wrong shape, or project NaN.
+    for bad, message in (
+        (reward_4x3[:3], r"reward must have shape \(4, 3, 4\)"),
+        (np.full((4, 3, 4), np.nan), "reward has non-finite entries"),
+    ):
+        with pytest.raises(InvalidInstance, match=message):
+            project_invariant(mdp_4x3, bad)

@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="robustness checking")
     rob_sub = p.add_subparsers(dest="robustness_command", required=True)
-    pc = rob_sub.add_parser("check", help="four-condition check from a JSON config")
+    pc = rob_sub.add_parser("check", help="run any experiment kind from a JSON config")
     pc.add_argument("--config", required=True, help="JSON experiment config file")
     _add_common(pc)
 

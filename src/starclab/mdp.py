@@ -10,7 +10,9 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,41 @@ def is_finite_real(value) -> bool:
     if isinstance(value, (int, np.integer)):
         return not isinstance(value, bool) and abs(value) <= sys.float_info.max
     return isinstance(value, (float, np.floating)) and math.isfinite(value)
+
+
+class Rule(NamedTuple):
+    """What a scalar parameter must be, in words, and the test of it."""
+
+    what: str
+    valid: Callable[[object], bool]
+
+
+FINITE = Rule("a finite number", is_finite_real)
+NUMBER = Rule("a number, not NaN", lambda v: is_finite_real(v) or isinstance(v, float | np.floating) and math.isinf(v))
+NON_NEGATIVE = Rule("a finite non-negative number", lambda v: is_finite_real(v) and v >= 0)
+POSITIVE = Rule("a finite positive number", lambda v: is_finite_real(v) and v > 0)
+DISCOUNT = Rule("a number in (0, 1)", lambda v: is_finite_real(v) and 0 < v < 1)
+# A seed must be an integer: ``None`` would draw an unseeded, unreproducible
+# instance, and numpy refuses a negative one.
+SEED = Rule("a non-negative integer", lambda v: isinstance(v, int | np.integer) and type(v) is not bool and v >= 0)
+COUNT = Rule("a positive integer", lambda v: SEED.valid(v) and v > 0)
+
+
+def check_number(value, rule: Rule, name: str):
+    """The one check of an outside scalar: ``value`` if ``rule`` holds, else InvalidInstance naming ``name``."""
+    if not rule.valid(value):
+        raise InvalidInstance(f"{name}: must be {rule.what}, got {value!r}")
+    return value
+
+
+def check_object(data, what: str, fields=()) -> dict:
+    """A JSON document ``data`` that must be an object holding ``fields``; else InvalidInstance naming ``what``."""
+    if not isinstance(data, dict):
+        raise InvalidInstance(f"{what} must be an object, got {type(data).__name__}")
+    for key in fields:
+        if key not in data:
+            raise InvalidInstance(f"{what} is missing field {key!r}")
+    return data
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -118,8 +155,7 @@ class TabularMdp:
             raise InvalidInstance("initial_dist has negative entries")
         if abs(initial_dist.sum() - 1.0) > ROW_TOL:
             raise InvalidInstance(f"initial_dist sums to {initial_dist.sum()!r}, not 1")
-        if not (is_finite_real(self.discount) and 0.0 < self.discount < 1.0):
-            raise InvalidInstance(f"discount must be a number in (0, 1), got {self.discount!r}")
+        check_number(self.discount, DISCOUNT, "discount")
         transition.setflags(write=False)
         initial_dist.setflags(write=False)
         object.__setattr__(self, "transition", transition)
@@ -160,9 +196,7 @@ class TabularMdp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TabularMdp":
-        for key in ("n_states", "n_actions", "discount", "mu0", "transition"):
-            if key not in data:
-                raise InvalidInstance(f"MDP document is missing field {key!r}")
+        check_object(data, "MDP document", ("n_states", "n_actions", "discount", "mu0", "transition"))
         mdp = cls(transition=data["transition"], initial_dist=data["mu0"], discount=data["discount"])
         if (mdp.n_states, mdp.n_actions) != (data["n_states"], data["n_actions"]):
             raise InvalidInstance("declared n_states/n_actions do not match the transition tensor")
@@ -271,10 +305,9 @@ def random_mdp(
     discount: float = 0.9,
 ) -> TabularMdp:
     """Seeded random instance with Dirichlet transition rows and initial distribution."""
-    if n_states < 1 or n_actions < 1:
-        raise InvalidInstance("n_states and n_actions must be positive")
-    if concentration <= 0:
-        raise InvalidInstance("concentration must be positive")
+    check_number(n_states, COUNT, "n_states")
+    check_number(n_actions, COUNT, "n_actions")
+    check_number(concentration, POSITIVE, "concentration")
     rng = np.random.default_rng(seed)
     alpha = np.full(n_states, concentration)
     transition = rng.dirichlet(alpha, size=(n_states, n_actions))
@@ -284,10 +317,10 @@ def random_mdp(
 
 def random_reward(seed: int, n_states: int, n_actions: int, scale: float = 1.0) -> np.ndarray:
     """Seeded i.i.d. Gaussian reward tensor."""
-    if n_states < 1 or n_actions < 1:
-        raise InvalidInstance("n_states and n_actions must be positive")
+    check_number(n_states, COUNT, "n_states")
+    check_number(n_actions, COUNT, "n_actions")
     rng = np.random.default_rng(seed)
-    return scale * rng.standard_normal((n_states, n_actions, n_states))
+    return check_number(scale, FINITE, "scale") * rng.standard_normal((n_states, n_actions, n_states))
 
 
 def three_state_chain(discount: float = 0.9) -> TabularMdp:
@@ -318,9 +351,7 @@ def save_mdp(mdp: TabularMdp, path) -> None:
 
 def load_reward(path, mdp: TabularMdp | None = None) -> np.ndarray:
     with open(path) as fh:
-        data = json.load(fh)
-    if "values" not in data:
-        raise InvalidInstance("reward document is missing field 'values'")
+        data = check_object(json.load(fh), "reward document", ("values",))
     reward = finite_array(data["values"], "reward")
     if reward.ndim != 3 or reward.shape[0] != reward.shape[2]:
         raise InvalidInstance(f"reward values must have shape (S, A, S), got {reward.shape}")

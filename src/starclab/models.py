@@ -22,12 +22,13 @@ from . import _kernels
 from .mdp import (
     DEFAULT_DP_TOL,
     DEFAULT_MAX_ITERS,
+    POSITIVE,
     ConvergenceError,
     InvalidInstance,
     TabularMdp,
+    check_number,
     check_reward,
     expected_reward,
-    is_finite_real,
     labelled_stack,
     optimal_values_stack,
     reward_stack,
@@ -95,11 +96,6 @@ def model_kind(kind, path: str = "model.kind") -> _ModelKind:
     return MODEL_KINDS[kind]
 
 
-def check_weight(value, path: str) -> None:
-    if not (is_finite_real(value) and value > 0):
-        raise InvalidInstance(f"{path}: must be a finite positive number, got {value!r}")
-
-
 def check_model_document(data, path: str = "model") -> None:
     """Refuse a model document that is not an object holding a known kind and only the weight it reads."""
     if not isinstance(data, dict):
@@ -109,7 +105,7 @@ def check_model_document(data, path: str = "model") -> None:
     if extra:
         raise InvalidInstance(f"{path}.{extra[0]}: not read by the {data['kind']!r} model")
     if weight:
-        check_weight(data.get(weight), f"{path}.{weight}")
+        check_number(data.get(weight), POSITIVE, f"{path}.{weight}")
 
 
 @dataclass(frozen=True)

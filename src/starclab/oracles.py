@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, reward_stack
+from .mdp import COUNT, InvalidInstance, TabularMdp, check_number, check_reward, expected_reward, reward_stack
 
 DEFAULT_CAP = 4096
 SIGN_BAND = 1e-10
@@ -25,7 +25,7 @@ class EnumerationCapExceeded(InvalidInstance):
 
 def _policy_space_size(mdp: TabularMdp, cap: int) -> int:
     size = mdp.n_actions ** mdp.n_states
-    if size > cap:
+    if size > check_number(cap, COUNT, "cap"):
         raise EnumerationCapExceeded(
             f"|A|^|S| = {size} exceeds the enumeration cap {cap}; "
             "use a sampled search instead"
@@ -195,6 +195,8 @@ def monte_carlo_return(
 ) -> tuple[float, float]:
     """Truncated-rollout estimate of the policy return, with its standard error."""
     reward = check_reward(mdp, reward)
+    check_number(horizon, COUNT, "horizon")
+    check_number(n_rollouts, COUNT, "n_rollouts")
     rng = np.random.default_rng(seed)
     policy_cum = np.cumsum(policy, axis=1)
     trans_cum = np.cumsum(mdp.transition, axis=2)

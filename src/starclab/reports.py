@@ -18,11 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import InvalidInstance, TabularMdp, is_finite_real, load_mdp, load_reward, random_mdp, random_reward
+from .mdp import COUNT, DISCOUNT, FINITE, POSITIVE, SEED, check_number, check_object
+from .mdp import InvalidInstance, TabularMdp, load_mdp, load_reward, random_mdp, random_reward
 from .metric import starc_distance
-from .models import BehavioralModelSpec, check_model_document, check_weight, model_kind
+from .models import BehavioralModelSpec, check_model_document, model_kind
 from .oracles import same_order_oracle
 from .robustness import (
+    GRID_SIDE,
     CounterexampleCertificate,
     discount_counterexample,
     gridworld_demo,
@@ -52,10 +54,10 @@ class ExperimentConfig:
             if name in self.params:
                 _check_keys(f"params.{name}", self.params[name], keys, f"a {generator} spec")
                 for key, value in self.params[name].items():
-                    _check_value(f"params.{name}.{key}", value, _SPEC_VALUES[key])
+                    check_number(value, _SPEC_VALUES[key], f"params.{name}.{key}")
         for key, rule in _OPTION_VALUES.items():
             if key in self.params:
-                _check_value(f"params.{key}", self.params[key], rule)
+                check_number(self.params[key], rule, f"params.{key}")
         for key, check in _MODEL_OPTIONS.items():
             if key in self.params:
                 check(self.params[key], f"params.{key}")
@@ -65,7 +67,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if "kind" not in data:
+        if "kind" not in check_object(data, "config"):
             raise InvalidInstance("kind: missing required field")
         return cls(kind=data["kind"], params=data.get("params", {}))
 
@@ -76,54 +78,31 @@ _MDP_SPEC = set(inspect.signature(random_mdp).parameters)
 _REWARD_SPEC = set(inspect.signature(random_reward).parameters) - {"n_states", "n_actions"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_value(path: str, value, rule: tuple[str, Callable]) -> None:
-    what, valid = rule
-    if not valid(value):
-        raise InvalidInstance(f"{path}: must be {what}, got {value!r}")
-
-
-# What each generator-spec value must be.  A seed must be given as an
-# integer: ``None`` would draw an unseeded, unreproducible instance, and
-# numpy refuses a negative one.
-_SEED = ("a non-negative integer", lambda value: _is_int(value) and value >= 0)
-_FINITE = ("a finite number", is_finite_real)
+# What each generator-spec value must be: what the generator itself requires.
 _SPEC_VALUES = {
-    "seed": _SEED,
-    "n_states": ("a positive integer", lambda value: _is_int(value) and value > 0),
-    "n_actions": ("a positive integer", lambda value: _is_int(value) and value > 0),
-    "concentration": _FINITE,
-    "discount": _FINITE,
-    "scale": _FINITE,
+    "seed": SEED,
+    "n_states": COUNT,
+    "n_actions": COUNT,
+    "concentration": POSITIVE,
+    "discount": DISCOUNT,
+    "scale": FINITE,
 }
 
-
-_POSITIVE = ("a finite positive number", lambda value: is_finite_real(value) and value > 0)
-
-_DISCOUNT = ("a number in (0, 1)", lambda value: is_finite_real(value) and 0 < value < 1)
-
-# What each experiment option other than the model ones must be.
+# What each experiment option other than the model documents must be.
 _OPTION_VALUES = {
-    "seed": _SEED,
-    "n": ("an integer of at least 2", lambda value: _is_int(value) and value >= 2),
-    "c": _POSITIVE,
-    "delta": _POSITIVE,
-    "gamma": _DISCOUNT,
-    "gamma_1": _DISCOUNT,
-    "gamma_2": _DISCOUNT,
+    "seed": SEED,
+    "n": GRID_SIDE,
+    "c": POSITIVE,
+    "delta": POSITIVE,
+    "gamma": DISCOUNT,
+    "gamma_1": DISCOUNT,
+    "gamma_2": DISCOUNT,
+    "beta": POSITIVE,
+    "alpha": POSITIVE,
 }
-
 
 # How each model option is checked: by the rules of ``models``, before any solve.
-_MODEL_OPTIONS = {
-    "model": check_model_document,
-    "model_kind": model_kind,
-    "beta": check_weight,
-    "alpha": check_weight,
-}
+_MODEL_OPTIONS = {"model": check_model_document, "model_kind": model_kind}
 
 
 def _check_keys(path: str, mapping, accepted: set, owner: str) -> None:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .mdp import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, Rule, check_number, check_object
 from .mdp import (
     ConvergenceError,
     InvalidInstance,
@@ -166,6 +167,8 @@ class _Tables:
         return cls(ids, _pair_distances(mdp_eval, hypotheses), _policy_gaps(f, g), f.self_gaps)
 
     def violations(self, epsilon: float, eta: float) -> list[dict]:
+        check_number(epsilon, NUMBER, "epsilon")
+        check_number(eta, NON_NEGATIVE, "eta")
         ids, dist = self.ids, self.dist
         far = dist > epsilon + DIST_TOL
         violations = [
@@ -247,6 +250,7 @@ def verify_transformation_bound(
     end-to-end distance between probe and transformed probe must be at most
     ``epsilon`` (plus 1e-8).
     """
+    check_number(epsilon, NON_NEGATIVE, "epsilon")
     if chain.nudge_count() > 1:
         raise InvalidInstance("chain has more than one nudge step")
     reports = []
@@ -402,6 +406,7 @@ class CounterexampleCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CounterexampleCertificate":
+        check_object(data, "certificate document", [f.name for f in fields(cls) if f.name != "params"])
         return cls(
             scenario=data["scenario"],
             mdp_gen=TabularMdp.from_dict(data["mdp_gen"]),
@@ -410,8 +415,8 @@ class CounterexampleCertificate:
             reward_2=finite_array(data["reward_2"], "reward_2"),
             model=data["model"],
             policy_metric=data["policy_metric"],
-            policy_gap=float(data["policy_gap"]),
-            distance=float(data["distance"]),
+            policy_gap=float(check_number(data["policy_gap"], FINITE, "policy_gap")),
+            distance=float(check_number(data["distance"], FINITE, "distance")),
             params=data.get("params", {}),
         )
 
@@ -497,10 +502,8 @@ def perturbation_counterexample(
     spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
     if MODEL_KINDS[model_kind].weight is None:
         raise InvalidInstance(f"perturbation counterexamples need a continuous model, not {model_kind!r}")
-    if c <= 0:
-        raise InvalidInstance("c must be positive")
-    if delta <= 0:
-        raise InvalidInstance("delta must be positive")
+    check_number(c, POSITIVE, "c")
+    check_number(delta, POSITIVE, "delta")
     metric = policy_metric or PolicyMetricSpec("l2")
 
     unit = None
@@ -589,9 +592,9 @@ def separation_witness_search(
     A witness refutes the claim that the model separates distant rewards into
     distant policies; ``None`` is inconclusive, not a proof of separation.
     """
-    if budget < 1:
-        raise InvalidInstance("budget must be at least 1")
-    if epsilon >= 1.0:
+    check_number(budget, COUNT, "budget")
+    check_number(delta, NON_NEGATIVE, "delta")
+    if check_number(epsilon, NON_NEGATIVE, "epsilon") >= 1.0:
         return None  # distances never exceed 1
     if delta > 0 and MODEL_KINDS[model.kind].weight is not None:
         try:
@@ -633,7 +636,7 @@ def optimality_nonrobustness_witness(
         )
     rng = np.random.default_rng(seed)
     eta = DEFAULT_ETA
-    for _ in range(max_samples):
+    for _ in range(check_number(max_samples, COUNT, "max_samples")):
         reward_1 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
         policy_1 = optimal_policy_uniform(mdp, reward_1)
         # Lower one non-greedy action's reward: the greedy policy is
@@ -667,6 +670,9 @@ def two_epsilon_lemma_check(
     return not (tables.dist[collide] > 2.0 * epsilon + DIST_TOL).any()
 
 
+GRID_SIDE = Rule("an integer of at least 2", lambda v: COUNT.valid(v) and v >= 2)
+
+
 def torus_gridworld(n: int, gamma: float = 0.9, slippery: bool = False) -> TabularMdp:
     """N x N torus with four movement actions (up, down, left, right).
 
@@ -674,8 +680,7 @@ def torus_gridworld(n: int, gamma: float = 0.9, slippery: bool = False) -> Tabul
     of its two diagonal neighbours, each with probability 1/3 (an 'up' move
     lands up-left, up, or up-right).
     """
-    if n < 2:
-        raise InvalidInstance("grid must be at least 2 x 2")
+    check_number(n, GRID_SIDE, "n")
     n_states = n * n
     moves = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}  # up, down, left, right
     transition = np.zeros((n_states, 4, n_states))

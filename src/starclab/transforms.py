@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mdp import DISCOUNT, NON_NEGATIVE, POSITIVE, check_number, check_object
 from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, finite_array
 
 SUBSPACE_TOL = 1e-9
@@ -33,7 +34,7 @@ def shaping_tensor(mdp: TabularMdp, phi: np.ndarray, discount: float | None = No
     phi = finite_array(phi, "potential")
     if phi.shape != (mdp.n_states,):
         raise InvalidInstance(f"potential must have shape ({mdp.n_states},), got {phi.shape}")
-    gamma = mdp.discount if discount is None else discount
+    gamma = mdp.discount if discount is None else check_number(discount, DISCOUNT, "discount")
     return (
         gamma * phi[None, None, :]
         - phi[:, None, None] * np.ones((mdp.n_states, mdp.n_actions, mdp.n_states))
@@ -127,8 +128,7 @@ def apply_redistribution_noise(
     redistribution subspace.
     """
     reward = check_reward(mdp, reward)
-    if magnitude < 0:
-        raise InvalidInstance("magnitude must be nonnegative")
+    check_number(magnitude, NON_NEGATIVE, "magnitude")
     if magnitude == 0.0 or mdp.n_states == 1:  # one state: only the zero redistribution
         return reward.copy()
     noise = np.random.default_rng(seed).standard_normal(reward.shape)
@@ -234,10 +234,8 @@ def invisible_reward_discount(
     genuine preference.  Indicator potentials are tried first, then seeded
     random potentials, up to 100 attempts.
     """
-    if gamma_1 == gamma_2:
+    if check_number(gamma_1, DISCOUNT, "gamma_1") == check_number(gamma_2, DISCOUNT, "gamma_2"):
         raise InvalidInstance("the two discounts must differ")
-    if not (0.0 < gamma_1 < 1.0 and 0.0 < gamma_2 < 1.0):
-        raise InvalidInstance("discounts must lie in (0, 1)")
     if np.ptp(mdp.transition, axis=1).max() <= 1e-9:
         raise InvalidInstance(
             "precondition violated: every state's actions share one next-state "
@@ -307,6 +305,14 @@ class Nudge:
 
 TransformStep = Shaping | Redistribution | Scale | Nudge
 
+# Each step kind of a chain's JSON: its class and the one field it holds.
+_STEP_KINDS = {
+    "shaping": (Shaping, "phi"),
+    "redistribution": (Redistribution, "delta"),
+    "scale": (Scale, "c"),
+    "nudge": (Nudge, "delta"),
+}
+
 
 @dataclass(frozen=True)
 class TransformChain:
@@ -318,33 +324,27 @@ class TransformChain:
         return sum(isinstance(step, Nudge) for step in self.steps)
 
     def to_json(self) -> str:
+        kinds = {cls: (kind, field) for kind, (cls, field) in _STEP_KINDS.items()}
         tagged = []
         for step in self.steps:
-            if isinstance(step, Shaping):
-                tagged.append({"kind": "shaping", "phi": np.asarray(step.phi).tolist()})
-            elif isinstance(step, Redistribution):
-                tagged.append({"kind": "redistribution", "delta": np.asarray(step.delta).tolist()})
-            elif isinstance(step, Scale):
-                tagged.append({"kind": "scale", "c": step.c})
-            else:
-                tagged.append({"kind": "nudge", "delta": np.asarray(step.delta).tolist()})
+            kind, field = kinds[type(step)]
+            tagged.append({"kind": kind, field: np.asarray(getattr(step, field)).tolist()})
         return json.dumps(tagged)
 
     @classmethod
     def from_json(cls, text: str) -> "TransformChain":
+        items = json.loads(text)
+        if not isinstance(items, list):
+            raise InvalidInstance(f"a transform chain must be a list of steps, got {type(items).__name__}")
         steps: list[TransformStep] = []
-        for item in json.loads(text):
-            kind = item.get("kind")
-            if kind == "shaping":
-                steps.append(Shaping(finite_array(item["phi"], "shaping phi")))
-            elif kind == "redistribution":
-                steps.append(Redistribution(finite_array(item["delta"], "redistribution delta")))
-            elif kind == "scale":
-                steps.append(Scale(float(item["c"])))
-            elif kind == "nudge":
-                steps.append(Nudge(finite_array(item["delta"], "nudge delta")))
-            else:
-                raise InvalidInstance(f"unknown transform step kind {kind!r}")
+        for i, item in enumerate(items):
+            kind = check_object(item, f"transform step {i}", ("kind",))["kind"]
+            if not (isinstance(kind, str) and kind in _STEP_KINDS):
+                raise InvalidInstance(f"transform step {i}: unknown kind {kind!r}")
+            step, field = _STEP_KINDS[kind]
+            value = check_object(item, f"transform step {i}", (field,))[field]
+            name = f"{kind} {field}"
+            steps.append(step(check_number(value, POSITIVE, name) if step is Scale else finite_array(value, name)))
         return cls(tuple(steps))
 
 
@@ -362,9 +362,7 @@ def apply_step(mdp: TabularMdp, reward: np.ndarray, step: TransformStep) -> np.n
             )
         return reward + delta
     if isinstance(step, Scale):
-        if step.c <= 0:
-            raise InvalidInstance("scale factor must be positive")
-        return step.c * reward
+        return check_number(step.c, POSITIVE, "scale c") * reward
     if isinstance(step, Nudge):
         return reward + check_reward(mdp, step.delta)
     raise InvalidInstance(f"unknown transform step {step!r}")

@@ -88,7 +88,7 @@ class TestFiniteInputs:
     def test_discount_must_be_a_number(self):
         t = np.ones((1, 1, 1))
         for bad in ("0.9", "0.9x", np.nan, True, None):
-            with pytest.raises(InvalidInstance, match="discount must be a number in"):
+            with pytest.raises(InvalidInstance, match="discount: must be a number in"):
                 TabularMdp(transition=t, initial_dist=np.array([1.0]), discount=bad)
 
     def test_nan_policy_refused(self, mdp_4x3, reward_4x3):
@@ -327,8 +327,8 @@ class TestJsonIO:
         for doc, field in (
             (ragged, "transition is ragged"),
             ({**good, "mu0": [0.5, 0.5, "x", 0.0]}, "initial_dist is ragged or not numeric"),
-            ({**good, "discount": "0.9x"}, "discount must be a number"),
-            ({**good, "discount": "0.9"}, "discount must be a number"),
+            ({**good, "discount": "0.9x"}, "discount: must be a number"),
+            ({**good, "discount": "0.9"}, "discount: must be a number"),
             ({**good, "n_states": "4"}, "declared n_states"),
         ):
             path.write_text(json.dumps(doc))

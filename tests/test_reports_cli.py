@@ -403,8 +403,8 @@ class TestCli:
             ("--reward1", {"values": ragged_values}, "reward is ragged or not numeric"),
             ("--reward1", {"values": word_values}, "reward is ragged or not numeric"),
             ("--mdp", ragged_rows, "transition is ragged or not numeric"),
-            ("--mdp", {**mdp.to_dict(), "discount": "0.9x"}, "discount must be a number in (0, 1), got '0.9x'"),
-            ("--mdp", {**mdp.to_dict(), "discount": "0.9"}, "discount must be a number in (0, 1), got '0.9'"),
+            ("--mdp", {**mdp.to_dict(), "discount": "0.9x"}, "discount: must be a number in (0, 1), got '0.9x'"),
+            ("--mdp", {**mdp.to_dict(), "discount": "0.9"}, "discount: must be a number in (0, 1), got '0.9'"),
         )
         for flag, doc, message in cases:
             bad = tmp / "bad.json"
@@ -412,6 +412,29 @@ class TestCli:
             files = {"--mdp": paths["mdp"], "--reward1": paths["r1"], "--reward2": paths["r2"], flag: bad}
             assert main(["starc", *(str(item) for pair in files.items() for item in pair)]) == EXIT_VALIDATION
             assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_input_file_that_is_not_an_object_exits_validation(self, io_files, capsys):
+        _, _, _, paths, tmp = io_files
+        bad = tmp / "three.json"
+        bad.write_text("3")
+        for flag, noun in (("--mdp", "MDP"), ("--reward1", "reward")):
+            files = {"--mdp": paths["mdp"], "--reward1": paths["r1"], "--reward2": paths["r2"], flag: bad}
+            assert main(["starc", *(str(item) for pair in files.items() for item in pair)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"validation error: {noun} document must be an object, got int\n"
+
+    def test_config_that_is_not_an_object_exits_validation(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("3")
+        assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: config must be an object, got int\n"
+
+    def test_robustness_check_help_says_what_it_runs(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["robustness", "--help"])
+        assert exit_.value.code == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "check run any experiment kind from a JSON config" in help_text
+        assert "four-condition" not in help_text
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -447,6 +447,25 @@ def test_certificate_document_with_non_finite_reward_refused():
         CounterexampleCertificate.from_dict(data)
 
 
+def test_malformed_certificate_document_refused_by_field():
+    data = discount_counterexample(random_mdp(0, 3, 2)).to_dict()
+    missing = {key: value for key, value in data.items() if key != "distance"}
+    for doc, message in (
+        (3, "certificate document must be an object, got int"),
+        ({}, "certificate document is missing field 'scenario'"),
+        (missing, "certificate document is missing field 'distance'"),
+        ({**data, "mdp_gen": [1]}, "MDP document must be an object, got list"),
+        ({**data, "policy_gap": "nan"}, "policy_gap: must be a finite number, got 'nan'"),
+        ({**data, "distance": math.nan}, "distance: must be a finite number, got nan"),
+    ):
+        with pytest.raises(InvalidInstance) as refused:
+            CounterexampleCertificate.from_dict(doc)
+        assert str(refused.value) == message
+    # A document without params reads as one with none.
+    del data["params"]
+    assert CounterexampleCertificate.from_dict(data).params == {}
+
+
 class TestDiscountCounterexample:
     def test_chain_certificate(self):
         cert = discount_counterexample(three_state_chain(), 0.9, 0.95)

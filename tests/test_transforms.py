@@ -359,6 +359,24 @@ class TestTransformChain:
                 TransformChain.from_json(json.dumps([step]))
 
 
+def test_chain_json_is_read_and_written_by_one_table():
+    steps = (Shaping(np.arange(4.0)), Redistribution(np.zeros((4, 3, 4))), Scale(2), Nudge(np.ones((4, 3, 4))))
+    text = TransformChain(steps).to_json()
+    assert [step["kind"] for step in json.loads(text)] == ["shaping", "redistribution", "scale", "nudge"]
+    assert TransformChain.from_json(text).to_json() == text
+    for doc, message in (
+        ({"kind": "scale", "c": 2.0}, "a transform chain must be a list of steps, got dict"),
+        ([{"kind": "scale", "c": 2.0}, 3], "transform step 1 must be an object, got int"),
+        ([{"c": 2.0}], "transform step 0 is missing field 'kind'"),
+        ([{"kind": "scale"}], "transform step 0 is missing field 'c'"),
+        ([{"kind": "nudge", "phi": [0.0]}], "transform step 0 is missing field 'delta'"),
+        ([{"kind": ["scale"]}], "transform step 0: unknown kind ['scale']"),
+    ):
+        with pytest.raises(InvalidInstance) as refused:
+            TransformChain.from_json(json.dumps(doc))
+        assert str(refused.value) == message
+
+
 def test_project_invariant_checks_its_tensor(mdp_4x3, reward_4x3):
     # The operator would reshape a tensor of the wrong shape, or project NaN.
     for bad, message in (

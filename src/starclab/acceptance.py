@@ -1,30 +1,28 @@
 """Release acceptance suite: twelve self-contained checks with pass/fail lines.
 
-Each criterion function returns a dict with ``name``, ``passed``, and
-``details``.  ``run_all`` executes them in order, adds each one's wall time
-as ``elapsed_s``, and prints one line per criterion.  Check 9 is expected to
-fail: its nudge-size bound ``sin(2*arcsin(eps/2))`` is strictly smaller than
-the smallest nudge any decomposition can use at distance ``eps`` (see the
-README), and we report that honestly rather than loosening the bound.
+Each criterion is a check declared with ``criterion`` and its time budget:
+the check appends what went wrong to a list of failures and returns a
+summary of what it checked.  ``criterion`` times, judges and reports it, so
+every criterion returns the same dict, with its wall time as ``elapsed_s``.
+``run_all`` runs them in order and prints one ``status_line`` per criterion.
+Check 9 is expected to fail: its nudge-size bound ``sin(2*arcsin(eps/2))``
+is strictly smaller than the smallest nudge any decomposition can use at
+distance ``eps`` (see the README), and we report that honestly rather than
+loosening the bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 import numpy as np
 
-from .mdp import InvalidInstance, TabularMdp, random_mdp, random_reward, three_state_chain
+from .mdp import InvalidInstance, TabularMdp, random_mdp, random_reward, seeded_rng, three_state_chain
 from .metric import regret_gap, starc_distance, standardize
-from .models import (
-    BehavioralModelSpec,
-    ModelTable,
-    boltzmann_policy,
-    materialize_model,
-    mce_policy,
-    optimal_policy_uniform,
-)
+from .models import BehavioralModelSpec, ModelTable, boltzmann_policy, materialize_model, mce_policy
+from .models import optimal_policy_uniform
 from .oracles import same_order_oracle
 from .robustness import (
     HypothesisSet,
@@ -41,18 +39,54 @@ from .robustness import (
 from .transforms import apply_potential_shaping, apply_redistribution_noise, project_invariant
 
 
+def criterion(name: str, budget_s: float = math.inf):
+    """Make a check ``(failures) -> summary`` into the criterion callable ``name``.
+
+    The callable runs the check once, timed.  An exception the check raises
+    is recorded as a failure naming its type and message, and ends the
+    check, not the suite.  The criterion passes iff no failure was recorded
+    and it took under ``budget_s`` seconds.  It returns ``{"name", "passed",
+    "details", "elapsed_s"}``, where ``details`` is the summary, the failure
+    count, the time and the first three failures.
+    """
+
+    def declare(check):
+        @functools.wraps(check)
+        def run() -> dict:
+            failures: list[str] = []
+            summary = None
+            start = time.perf_counter()
+            try:
+                summary = check(failures)
+            except Exception as exc:  # a broken check fails its own criterion only
+                failures.append(f"raised {type(exc).__name__}: {exc}")
+            elapsed = time.perf_counter() - start
+            if not elapsed < budget_s:
+                failures.append(f"took {elapsed:.1f}s, over its {budget_s:g}s budget")
+            details = ", ".join(filter(None, (summary, f"{len(failures)} failed", f"{elapsed:.2f}s")))
+            return {
+                "name": name,
+                "passed": not failures,
+                "details": details + (": " + "; ".join(failures[:3]) if failures else ""),
+                "elapsed_s": elapsed,
+            }
+
+        return run
+
+    return declare
+
+
 def _random_shaped_equivalent(mdp, reward, seed, scale=2.0):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     shaped = apply_potential_shaping(mdp, reward, rng.standard_normal(mdp.n_states))
     shaped = apply_redistribution_noise(mdp, shaped, seed=seed + 1, magnitude=1.0)
     return scale * shaped
 
 
-def criterion_1() -> dict:
+@criterion("metric axioms (1000 triples)", budget_s=60)
+def criterion_1(failures: list[str]) -> str:
     """Pseudometric axioms on 1000 seeded reward triples."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(11)
-    failures = []
+    rng = seeded_rng(11)
     n_triples = 0
     for mdp_idx in range(40):
         n_s = int(rng.integers(2, 9))
@@ -75,18 +109,14 @@ def criterion_1() -> dict:
             for d in (d01, d02, d12):
                 if not -1e-12 <= d <= 1 + 1e-12:
                     failures.append(f"range: {d}")
-    elapsed = time.perf_counter() - start
-    passed = not failures and n_triples == 1000 and elapsed < 60
-    return {
-        "name": "metric axioms (1000 triples)",
-        "passed": passed,
-        "details": f"{n_triples} triples, {len(failures)} violations, {elapsed:.1f}s",
-    }
+    if n_triples != 1000:
+        failures.append(f"checked {n_triples} triples, not 1000")
+    return f"{n_triples} triples"
 
 
-def criterion_2() -> dict:
+@criterion("landmark distances (scale/negation/trivial)")
+def criterion_2(failures: list[str]) -> str:
     """Landmark distances: scaling 0, negation 1, trivial 0.5."""
-    failures = []
     for seed in range(5):
         mdp = random_mdp(seed, 4, 3)
         reward = random_reward(seed + 100, 4, 3)
@@ -102,18 +132,13 @@ def criterion_2() -> dict:
         d_triv = starc_distance(mdp, unit, trivial).distance
         if abs(d_triv - 0.5) > 1e-8:
             failures.append(f"trivial: d={d_triv}")
-    return {
-        "name": "landmark distances (scale/negation/trivial)",
-        "passed": not failures,
-        "details": f"{len(failures)} violations" + (f": {failures[:3]}" if failures else ""),
-    }
+    return "5 instances x 4 landmarks"
 
 
-def criterion_3() -> dict:
+@criterion("distance/ordering oracle equivalence (200 pairs)", budget_s=300)
+def criterion_3(failures: list[str]) -> str:
     """Zero distance iff identical policy ordering, on 200 seeded pairs."""
-    start = time.perf_counter()
     sizes = [(5, 2), (3, 3), (4, 2), (2, 3)]
-    mismatches = 0
     n_pairs = 0
     for i in range(200):
         n_s, n_a = sizes[i % len(sizes)]
@@ -127,67 +152,52 @@ def criterion_3() -> dict:
         d = starc_distance(mdp, r_1, r_2).distance
         same = same_order_oracle(mdp, r_1, r_2, seed=i)
         if (d < 1e-8) != same:
-            mismatches += 1
-    elapsed = time.perf_counter() - start
-    passed = mismatches == 0 and n_pairs == 200 and elapsed < 300
-    return {
-        "name": "distance/ordering oracle equivalence (200 pairs)",
-        "passed": passed,
-        "details": f"{n_pairs} pairs, {mismatches} mismatches, {elapsed:.1f}s",
-    }
+            failures.append(f"pair {i}: distance {d:.2e} but same order {same}")
+    if n_pairs != 200:
+        failures.append(f"checked {n_pairs} pairs, not 200")
+    return f"{n_pairs} pairs"
 
 
-def criterion_4() -> dict:
+@criterion("behavioural-model shaping/redistribution invariance")
+def criterion_4(failures: list[str]) -> str:
     """Boltzmann and MCE invariance to shaping+redistribution chains."""
     worst = 0.0
     count = 0
     for i in range(100):
         mdp = random_mdp(7000 + i, 4, 3)
         reward = random_reward(8000 + i, 4, 3)
-        rng = np.random.default_rng(9000 + i)
+        rng = seeded_rng(9000 + i)
         shaped = apply_potential_shaping(mdp, reward, rng.standard_normal(4))
         shaped = apply_redistribution_noise(mdp, shaped, seed=9500 + i, magnitude=1.0)
         for param in (0.5, 1.0, 5.0):
-            gap_b = np.abs(
-                boltzmann_policy(mdp, reward, param) - boltzmann_policy(mdp, shaped, param)
-            ).max()
-            gap_m = np.abs(
-                mce_policy(mdp, reward, param) - mce_policy(mdp, shaped, param)
-            ).max()
-            worst = max(worst, gap_b, gap_m)
+            gap_b = np.abs(boltzmann_policy(mdp, reward, param) - boltzmann_policy(mdp, shaped, param)).max()
+            gap_m = np.abs(mce_policy(mdp, reward, param) - mce_policy(mdp, shaped, param)).max()
+            worst = np.max([worst, gap_b, gap_m])  # np.max keeps a NaN gap
             count += 1
-    return {
-        "name": "behavioural-model shaping/redistribution invariance",
-        "passed": worst < 1e-6,
-        "details": f"{count} chain/parameter combinations, worst policy gap {worst:.2e}",
-    }
+    if not worst < 1e-6:
+        failures.append(f"worst policy gap {worst:.2e} is not below 1e-6")
+    return f"{count} chain/parameter combinations, worst policy gap {worst:.2e}"
 
 
-def criterion_5() -> dict:
+@criterion("temperature/weight rescaling identities")
+def criterion_5(failures: list[str]) -> str:
     """Temperature/weight rescaling identities for Boltzmann and MCE."""
     worst = 0.0
     for i in range(50):
         mdp = random_mdp(10000 + i, 4, 3)
         reward = random_reward(11000 + i, 4, 3)
         for c in (0.5, 2.0, 10.0):
-            gap_b = np.abs(
-                boltzmann_policy(mdp, reward, 1.0) - boltzmann_policy(mdp, c * reward, 1.0 / c)
-            ).max()
-            gap_m = np.abs(
-                mce_policy(mdp, reward, 1.0) - mce_policy(mdp, c * reward, c)
-            ).max()
-            worst = max(worst, gap_b, gap_m)
-    return {
-        "name": "temperature/weight rescaling identities",
-        "passed": worst < 1e-8,
-        "details": f"50 instances x 3 scales, worst policy gap {worst:.2e}",
-    }
+            gap_b = np.abs(boltzmann_policy(mdp, reward, 1.0) - boltzmann_policy(mdp, c * reward, 1.0 / c)).max()
+            gap_m = np.abs(mce_policy(mdp, reward, 1.0) - mce_policy(mdp, c * reward, c)).max()
+            worst = np.max([worst, gap_b, gap_m])  # np.max keeps a NaN gap
+    if not worst < 1e-8:
+        failures.append(f"worst policy gap {worst:.2e} is not below 1e-8")
+    return f"50 instances x 3 scales, worst policy gap {worst:.2e}"
 
 
-def criterion_6() -> dict:
+@criterion("discount-misspecification certificates", budget_s=10)
+def criterion_6(failures: list[str]) -> str:
     """Discount-misspecification certificates: invisible at gamma1, opposite at gamma2."""
-    start = time.perf_counter()
-    failures = []
     mdps = [("chain", three_state_chain())]
     for i in range(10):
         mdps.append((f"random-{i}", random_mdp(12000 + i, 4, 3)))
@@ -200,13 +210,7 @@ def criterion_6() -> dict:
                 failures.append(f"{name} ({gamma_1},{gamma_2}): distance {cert.distance}")
             if not cert.verify():
                 failures.append(f"{name}: certificate does not re-verify")
-    elapsed = time.perf_counter() - start
-    passed = not failures and elapsed < 10
-    return {
-        "name": "discount-misspecification certificates",
-        "passed": passed,
-        "details": f"22 certificates, {len(failures)} failures, {elapsed:.1f}s",
-    }
+    return "22 certificates"
 
 
 def _three_state_kernel_pair() -> tuple[TabularMdp, TabularMdp]:
@@ -224,10 +228,9 @@ def _three_state_kernel_pair() -> tuple[TabularMdp, TabularMdp]:
     )
 
 
-def criterion_7() -> dict:
+@criterion("transition-misspecification certificates", budget_s=10)
+def criterion_7(failures: list[str]) -> str:
     """Transition-misspecification certificates: 3-state pair and torus gridworld."""
-    start = time.perf_counter()
-    failures = []
     mdp_1, mdp_2 = _three_state_kernel_pair()
     for name, cert in (
         ("3-state", transition_counterexample(mdp_1, mdp_2, model_kind="boltzmann", beta=1.0)),
@@ -239,20 +242,12 @@ def criterion_7() -> dict:
             failures.append(f"{name}: distance {cert.distance}")
         if not cert.verify():
             failures.append(f"{name}: certificate does not re-verify")
-    elapsed = time.perf_counter() - start
-    passed = not failures and elapsed < 10
-    return {
-        "name": "transition-misspecification certificates",
-        "passed": passed,
-        "details": f"{len(failures)} failures, {elapsed:.1f}s"
-        + (f": {failures}" if failures else ""),
-    }
+    return "2 certificates"
 
 
-def criterion_8() -> dict:
+@criterion("policy-perturbation certificates", budget_s=30)
+def criterion_8(failures: list[str]) -> str:
     """Perturbation certificates: distance-1 pairs with arbitrarily close policies."""
-    start = time.perf_counter()
-    failures = []
     for i in range(10):
         mdp = random_mdp(13000 + i, 4, 3)
         for delta in (1e-1, 1e-2, 1e-3):
@@ -263,51 +258,41 @@ def criterion_8() -> dict:
                 failures.append(f"mdp {i}, delta {delta}: gap {cert.policy_gap:.2e}")
             if abs(cert.distance - 1.0) > 1e-6:
                 failures.append(f"mdp {i}, delta {delta}: distance {cert.distance}")
-    elapsed = time.perf_counter() - start
-    passed = not failures and elapsed < 30
-    return {
-        "name": "policy-perturbation certificates",
-        "passed": passed,
-        "details": f"30 certificates, {len(failures)} failures, {elapsed:.1f}s",
-    }
+    return "30 certificates"
 
 
-def criterion_9() -> dict:
+@criterion("transformation-chain decomposition round trip")
+def criterion_9(failures: list[str]) -> str:
     """Chain decomposition round trip and nudge-size bound (expected to fail).
 
     Recomposition is exact to 1e-8, but the nudge bound sin(2*arcsin(eps/2))
     is below the geometric minimum sin(2*arcsin(eps)) for every eps in (0,1),
     so the bound sub-check cannot pass; we report the failure honestly.
     """
-    recompose_fail = 0
-    bound_fail = 0
-    confirm_fail = 0
-    n = 0
+    recompose_fail = bound_fail = confirm_fail = 0
     for i in range(100):
         mdp = random_mdp(14000 + i, 4, 2)
         r_1 = random_reward(15000 + i, 4, 2)
         r_2 = random_reward(16000 + i, 4, 2)
-        n += 1
         try:
             chain = decompose_transformation(mdp, r_1, r_2)
-        except RuntimeError:
+        except RuntimeError as exc:
             recompose_fail += 1
+            failures.append(f"pair {i}: {exc}")
             continue
         eps = starc_distance(mdp, r_1, r_2).distance + 1e-9
         ok, (probe,) = verify_transformation_bound(mdp, chain, [r_1], eps)
         bound_fail += not probe["nudge_ok"]
         confirm_fail += not ok
-    passed = recompose_fail == 0 and bound_fail == 0 and confirm_fail == 0
-    return {
-        "name": "transformation-chain decomposition round trip",
-        "passed": passed,
-        "details": (
-            f"{n} pairs: recompose failures {recompose_fail}, "
-            f"nudge-bound failures {bound_fail}, verifier failures {confirm_fail} "
-            "(bound failures are expected: the stated bound is below the "
-            "geometric minimum nudge for any decomposition)"
-        ),
-    }
+        if not ok:
+            failures.append(f"pair {i}: nudge {probe['nudge_norm']:.3g}, bound {probe['nudge_bound']:.3g}, "
+                            f"distance {probe['distance']:.3g}, eps {eps:.3g}")
+    return (
+        f"100 pairs: recompose failures {recompose_fail}, "
+        f"nudge-bound failures {bound_fail}, verifier failures {confirm_fail} "
+        "(bound failures are expected: the stated bound is below the "
+        "geometric minimum nudge for any decomposition)"
+    )
 
 
 def _angle_rewards(mdp, angles, seed=0):
@@ -320,9 +305,9 @@ def _angle_rewards(mdp, angles, seed=0):
     return [math.cos(t) * e_1 + math.sin(t) * e_2 for t in angles]
 
 
-def criterion_10() -> dict:
+@criterion("robustness-checker fidelity")
+def criterion_10(failures: list[str]) -> str:
     """Robustness-checker fidelity on hand-built model tables."""
-    failures = []
     mdp = random_mdp(42, 4, 3)
 
     # (a) Four rewards placed so exactly one pair collides under f while far
@@ -368,17 +353,12 @@ def criterion_10() -> dict:
     # (d) Triangle lemma on the robust verdict from (b).
     if verdict_b.robust and not two_epsilon_lemma_check(f_b, g_b, hyp_b, mdp_b, epsilon=0.0):
         failures.append("2-epsilon lemma failed on robust verdict")
-
-    return {
-        "name": "robustness-checker fidelity",
-        "passed": not failures,
-        "details": f"{len(failures)} failures" + (f": {failures}" if failures else ""),
-    }
+    return "4 hand-built cases"
 
 
-def criterion_11() -> dict:
+@criterion("exact-optimality non-robustness witness")
+def criterion_11(failures: list[str]) -> str:
     """Exact-optimality witness exists at 1x3 and provably not at 1x2."""
-    failures = []
     mdp_3 = TabularMdp(
         transition=np.ones((1, 3, 1)), initial_dist=np.array([1.0]), discount=0.9
     )
@@ -398,16 +378,12 @@ def criterion_11() -> dict:
         pass
     else:
         failures.append("1x2 exclusion did not raise")
-    return {
-        "name": "exact-optimality non-robustness witness",
-        "passed": not failures,
-        "details": f"{len(failures)} failures" + (f": {failures}" if failures else ""),
-    }
+    return "1x3 witness, 1x2 exclusion"
 
 
-def criterion_12() -> dict:
+@criterion("soundness zero-case (distance vs regret)")
+def criterion_12(failures: list[str]) -> str:
     """Zero distance forbids regret; negation attains normalized regret 1."""
-    failures = []
     for i in range(20):
         mdp = random_mdp(17000 + i, 4, 2)
         r_1 = random_reward(18000 + i, 4, 2)
@@ -420,43 +396,25 @@ def criterion_12() -> dict:
         regret_neg, _ = regret_gap(mdp, r_1, -r_1)
         if abs(regret_neg - 1.0) > 1e-8:
             failures.append(f"pair {i}: negation regret {regret_neg}")
-    return {
-        "name": "soundness zero-case (distance vs regret)",
-        "passed": not failures,
-        "details": f"20 instances, {len(failures)} failures"
-        + (f": {failures[:3]}" if failures else ""),
-    }
+    return "20 instances"
 
 
 CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6,
+    criterion_7, criterion_8, criterion_9, criterion_10, criterion_11, criterion_12,
 ]
 
 
-def run_criterion(fn) -> dict:
-    """Run one criterion and add its wall time to the result as ``elapsed_s``."""
-    start = time.perf_counter()
-    result = fn()
-    result["elapsed_s"] = time.perf_counter() - start
-    return result
+def status_line(index: int, result: dict) -> str:
+    """The one printed line of criterion ``index``'s result."""
+    status = "PASS" if result["passed"] else "FAIL"
+    return f"[{status}] criterion {index:2d}: {result['name']} — {result['details']}"
 
 
 def run_all(echo=print) -> list[dict]:
+    """Run every criterion in order, echo its ``status_line``, and return the results."""
     results = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        result = run_criterion(fn)
-        results.append(result)
-        status = "PASS" if result["passed"] else "FAIL"
-        echo(f"[{status}] criterion {i:2d}: {result['name']} — {result['details']}")
+    for i, run in enumerate(CRITERIA, start=1):
+        results.append(run())
+        echo(status_line(i, results[-1]))
     return results

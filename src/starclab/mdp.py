@@ -59,6 +59,11 @@ def check_number(value, rule: Rule, name: str):
     return value
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator from ``seed``, which must be a ``SEED``: the one way the package draws."""
+    return np.random.default_rng(check_number(seed, SEED, "seed"))
+
+
 def check_object(data, what: str, fields=()) -> dict:
     """A JSON document ``data`` that must be an object holding ``fields``; else InvalidInstance naming ``what``."""
     if not isinstance(data, dict):
@@ -308,7 +313,7 @@ def random_mdp(
     check_number(n_states, COUNT, "n_states")
     check_number(n_actions, COUNT, "n_actions")
     check_number(concentration, POSITIVE, "concentration")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     alpha = np.full(n_states, concentration)
     transition = rng.dirichlet(alpha, size=(n_states, n_actions))
     initial_dist = rng.dirichlet(alpha)
@@ -319,7 +324,7 @@ def random_reward(seed: int, n_states: int, n_actions: int, scale: float = 1.0) 
     """Seeded i.i.d. Gaussian reward tensor."""
     check_number(n_states, COUNT, "n_states")
     check_number(n_actions, COUNT, "n_actions")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return check_number(scale, FINITE, "scale") * rng.standard_normal((n_states, n_actions, n_states))
 
 

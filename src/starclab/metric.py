@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, reward_stack
+from .mdp import InvalidInstance, TabularMdp, reward_stack
 from .oracles import regret_witness_search
 from .transforms import CanonicalOperator, canonical_operator
 
@@ -128,6 +128,8 @@ def distance_table(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray
     entry is taken from the difference of two standardized rewards, not from
     their cosine, so near-identical rewards stay accurate to roundoff.
     """
+    if not len(rewards):
+        raise InvalidInstance("need at least one reward")
     _, _, units = _standardized(canonical_operator(mdp), reward_stack(mdp, rewards))
     return 0.5 * pairwise_norms(units, units)
 

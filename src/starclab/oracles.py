@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .mdp import COUNT, InvalidInstance, TabularMdp, check_number, check_reward, expected_reward, reward_stack
+from .mdp import COUNT, InvalidInstance, TabularMdp, check_number, check_policy, check_reward, expected_reward
+from .mdp import reward_stack, seeded_rng
 
 DEFAULT_CAP = 4096
 SIGN_BAND = 1e-10
@@ -172,13 +173,13 @@ def same_order_oracle(
     the rewards' scale.  Each policy set is evaluated under both rewards in
     one stacked solve.
     """
+    rng = seeded_rng(seed)
     expected = _expected_rewards(mdp, reward_1, reward_2)
     j1, j2 = _deterministic_returns(mdp, expected, cap)
     band_1, band_2 = SIGN_BAND * np.abs(j1).max(), SIGN_BAND * np.abs(j2).max()
     if not _same_signs(j1, j2, band_1, band_2):
         return False
     # Pair i is (policies[2i], policies[2i + 1]): the draws of a per-pair loop.
-    rng = np.random.default_rng(seed)
     policies = rng.dirichlet(np.ones(mdp.n_actions), size=(2 * N_STOCHASTIC_PAIRS, mdp.n_states))
     returns = _stacked_returns(mdp, policies, expected)
     d1, d2 = returns[:, 0::2] - returns[:, 1::2]
@@ -195,9 +196,10 @@ def monte_carlo_return(
 ) -> tuple[float, float]:
     """Truncated-rollout estimate of the policy return, with its standard error."""
     reward = check_reward(mdp, reward)
+    policy = check_policy(mdp, policy)
     check_number(horizon, COUNT, "horizon")
     check_number(n_rollouts, COUNT, "n_rollouts")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     policy_cum = np.cumsum(policy, axis=1)
     trans_cum = np.cumsum(mdp.transition, axis=2)
     init_cum = np.cumsum(mdp.initial_dist)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .mdp import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, Rule, check_number, check_object
+from .mdp import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, SEED, Rule, check_number, check_object, seeded_rng
 from .mdp import (
     ConvergenceError,
     InvalidInstance,
@@ -35,7 +35,7 @@ from .mdp import (
     reward_stack,
 )
 from .metric import canonicalize, distance_table, pairwise_norms, standardize, starc_distance
-from .models import MODEL_KINDS, BehavioralModelSpec, ModelTable, optimal_policy_uniform
+from .models import MODEL_KINDS, BehavioralModelSpec, ModelTable, check_model_document, optimal_policy_uniform
 from .transforms import (
     Nudge,
     Redistribution,
@@ -106,8 +106,9 @@ class PolicyMetricSpec:
     kind: str = "l2"
 
     def __post_init__(self):
-        if self.kind not in {"l2", "linf", "occupancy_l2"}:
-            raise InvalidInstance(f"unknown policy metric {self.kind!r}")
+        kinds = ("l2", "linf", "occupancy_l2")
+        if self.kind not in kinds:
+            raise InvalidInstance(f"policy_metric: must be one of {kinds}, got {self.kind!r}")
 
     def distance(self, mdp: TabularMdp, policy_1: np.ndarray, policy_2: np.ndarray) -> float:
         if self.kind == "l2":
@@ -356,15 +357,18 @@ def decompose_transformation(
     return chain
 
 
+SCENARIOS = ("discount", "transition", "perturbation", "optimality")
+
+
 @dataclass(frozen=True)
 class CounterexampleCertificate:
     """Self-contained, re-verifiable witness of a non-robustness scenario.
 
-    ``scenario`` is one of 'discount', 'transition', 'perturbation',
-    'optimality'.  The certificate stores the environments, the constructed
-    reward pair, the behavioural model used to generate policies, the policy
-    gap measured under the generating environment, and the reward distance
-    measured under the evaluation environment.
+    ``scenario`` is one of ``SCENARIOS``.  The certificate stores the
+    environments, the constructed reward pair, the behavioural model used to
+    generate policies, the policy gap measured under the generating
+    environment, and the reward distance measured under the evaluation
+    environment.
     """
 
     scenario: str
@@ -407,6 +411,9 @@ class CounterexampleCertificate:
     @classmethod
     def from_dict(cls, data: dict) -> "CounterexampleCertificate":
         check_object(data, "certificate document", [f.name for f in fields(cls) if f.name != "params"])
+        if data["scenario"] not in SCENARIOS:
+            raise InvalidInstance(f"scenario: must be one of {SCENARIOS}, got {data['scenario']!r}")
+        check_model_document(data["model"], "model")
         return cls(
             scenario=data["scenario"],
             mdp_gen=TabularMdp.from_dict(data["mdp_gen"]),
@@ -414,7 +421,7 @@ class CounterexampleCertificate:
             reward_1=finite_array(data["reward_1"], "reward_1"),
             reward_2=finite_array(data["reward_2"], "reward_2"),
             model=data["model"],
-            policy_metric=data["policy_metric"],
+            policy_metric=PolicyMetricSpec(data["policy_metric"]).kind,
             policy_gap=float(check_number(data["policy_gap"], FINITE, "policy_gap")),
             distance=float(check_number(data["distance"], FINITE, "distance")),
             params=data.get("params", {}),
@@ -504,6 +511,7 @@ def perturbation_counterexample(
         raise InvalidInstance(f"perturbation counterexamples need a continuous model, not {model_kind!r}")
     check_number(c, POSITIVE, "c")
     check_number(delta, POSITIVE, "delta")
+    check_number(seed, SEED, "seed")
     metric = policy_metric or PolicyMetricSpec("l2")
 
     unit = None
@@ -596,6 +604,7 @@ def separation_witness_search(
     check_number(delta, NON_NEGATIVE, "delta")
     if check_number(epsilon, NON_NEGATIVE, "epsilon") >= 1.0:
         return None  # distances never exceed 1
+    rng = seeded_rng(seed)
     if delta > 0 and MODEL_KINDS[model.kind].weight is not None:
         try:
             cert = perturbation_counterexample(
@@ -606,7 +615,6 @@ def separation_witness_search(
         else:
             if cert.distance > epsilon and cert.policy_gap <= delta:
                 return cert.reward_1, cert.reward_2
-    rng = np.random.default_rng(seed)
     for _ in range(budget):
         r_1 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
         r_2 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
@@ -634,7 +642,7 @@ def optimality_nonrobustness_witness(
         raise InvalidInstance(
             "with a single action all rewards are order-equivalent; no witness exists"
         )
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     eta = DEFAULT_ETA
     for _ in range(check_number(max_samples, COUNT, "max_samples")):
         reward_1 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DISCOUNT, NON_NEGATIVE, POSITIVE, check_number, check_object
+from .mdp import DISCOUNT, NON_NEGATIVE, POSITIVE, check_number, check_object, seeded_rng
 from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, finite_array
 
 SUBSPACE_TOL = 1e-9
@@ -129,9 +129,10 @@ def apply_redistribution_noise(
     """
     reward = check_reward(mdp, reward)
     check_number(magnitude, NON_NEGATIVE, "magnitude")
+    rng = seeded_rng(seed)
     if magnitude == 0.0 or mdp.n_states == 1:  # one state: only the zero redistribution
         return reward.copy()
-    noise = np.random.default_rng(seed).standard_normal(reward.shape)
+    noise = rng.standard_normal(reward.shape)
     delta = canonical_operator(mdp).redistribution_part(noise[None])[0]
     return reward + (magnitude / np.linalg.norm(delta)) * delta
 
@@ -205,10 +206,14 @@ def differ_by(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> st
     Both tests are relative, so the verdict does not depend on the rewards'
     scale: the difference's canonical part is compared with the larger
     reward (the difference carries that reward's roundoff), and the two
-    canonical directions are compared as unit vectors.
+    canonical directions are compared as unit vectors.  The pair is first
+    brought to a largest |entry| in [0.5, 1) by one exact power of two, so
+    no square in a norm overflows or underflows.
     """
     reward_1 = check_reward(mdp, reward_1)
     reward_2 = check_reward(mdp, reward_2)
+    exponent = np.frexp(max(np.abs(reward_1).max(), np.abs(reward_2).max()))[1]
+    reward_1, reward_2 = np.ldexp(reward_1, -exponent), np.ldexp(reward_2, -exponent)
     diff = reward_1 - reward_2
     diff_norm = np.linalg.norm(diff)
     if diff_norm == 0.0:
@@ -242,7 +247,7 @@ def invisible_reward_discount(
             "distribution, so shaping rewards stay trivial under any discount"
         )
     operator = canonical_operator(mdp.with_discount(gamma_2))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for attempt in range(MAX_POTENTIAL_ATTEMPTS):
         if attempt < mdp.n_states:
             phi = np.zeros(mdp.n_states)
@@ -354,8 +359,9 @@ def apply_step(mdp: TabularMdp, reward: np.ndarray, step: TransformStep) -> np.n
     if isinstance(step, Redistribution):
         delta = check_reward(mdp, step.delta)
         cond_mean = np.abs(expected_reward(mdp, delta)).max()
-        # Relative to the step, so roundoff in a large step is not a violation.
-        bound = SUBSPACE_TOL * max(1.0, np.abs(delta).max())
+        # Relative to the step at every scale: roundoff in a large step is no
+        # violation, and a small step's mean is held to the step's own size.
+        bound = SUBSPACE_TOL * np.abs(delta).max()
         if cond_mean > bound:
             raise InvalidInstance(
                 f"redistribution step has conditional mean {cond_mean:g} > {bound:g}"

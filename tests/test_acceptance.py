@@ -12,13 +12,12 @@ import sys
 
 import pytest
 
-from starclab import acceptance
+from starclab import acceptance, cli
 
 
 def _run(index: int) -> dict:
     result = acceptance.CRITERIA[index - 1]()
-    status = "PASS" if result["passed"] else "FAIL"
-    print(f"[{status}] criterion {index:2d}: {result['name']} — {result['details']}", file=sys.stderr)
+    print(acceptance.status_line(index, result), file=sys.stderr)
     return result
 
 
@@ -85,8 +84,31 @@ def test_criterion_12_soundness_zero_case():
 
 
 def test_run_criterion_records_elapsed_seconds():
-    # The wrapper run_all uses; criterion 2 is cheap.
-    result = acceptance.run_criterion(acceptance.criterion_2)
+    # Every criterion times itself; criterion 2 is cheap.
+    result = acceptance.criterion_2()
     assert isinstance(result["elapsed_s"], float)
     assert 0.0 <= result["elapsed_s"] < 60.0
     assert result["passed"]
+
+
+def test_a_raising_or_slow_criterion_fails_and_the_suite_goes_on(monkeypatch, capsys):
+    @acceptance.criterion("raises")
+    def broken(failures):
+        raise RuntimeError("boom")
+
+    @acceptance.criterion("slow", budget_s=0.0)
+    def slow(failures):
+        return "nothing checked"
+
+    result = broken()
+    assert set(result) == {"name", "passed", "details", "elapsed_s"}
+    assert not result["passed"]
+    monkeypatch.setattr(acceptance, "CRITERIA", [broken, acceptance.criterion_2, slow])
+    assert cli.main(["suite", "acceptance"]) == cli.EXIT_ACCEPTANCE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] criterion  1: raises — 1 failed, ")
+    assert lines[0].endswith(": raised RuntimeError: boom")
+    assert lines[1].startswith("[PASS] criterion  2: landmark distances")
+    assert lines[2].startswith("[FAIL] criterion  3: slow — nothing checked, 1 failed, ")
+    assert "over its 0s budget" in lines[2]
+    assert lines[3:] == ["1/3 criteria passed"]

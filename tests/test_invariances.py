@@ -7,7 +7,8 @@ policies the same way.  Each case is a random S=5, A=3 MDP with a random
 permutation of its states and one of its actions, over random, zero,
 rounded (tied) and scaled rewards.  The distance, and so the robustness
 checker, must also read a reward the same at any positive scale a float
-holds, and after potential shaping and redistribution.
+holds, and after potential shaping and redistribution; so must
+``differ_by`` classify a pair.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from starclab import (
     apply_potential_shaping,
     apply_redistribution_noise,
     check_epsilon_robust,
+    differ_by,
     distance_table,
     materialize_model,
     min_robust_epsilon,
@@ -62,6 +64,18 @@ def test_distance_table_is_unchanged_at_any_scale():
         table = distance_table(mdp, list(rewards))
         for c in 10.0 ** np.arange(-300, 301, 50):
             assert np.abs(distance_table(mdp, list(c * rewards)) - table).max() <= 1e-12, c
+
+
+def test_differ_by_verdicts_are_unchanged_at_any_scale():
+    for i, (mdp, rewards, _, _) in enumerate(_cases()):
+        reward = rewards[0]
+        phi = np.random.default_rng(i).standard_normal(N_STATES)
+        others = (random_reward(900 + i, N_STATES, N_ACTIONS), 2.0 * reward,
+                  apply_potential_shaping(mdp, reward, phi), reward)
+        verdicts = [differ_by(mdp, reward, other) for other in others]
+        assert verdicts == ["neither", "also_positive_scaling", "shaping_and_redistribution", "identical"]
+        for c in 10.0 ** np.arange(-300, 301, 50):
+            assert [differ_by(mdp, c * reward, c * other) for other in others] == verdicts, c
 
 
 def test_checker_verdicts_are_unchanged_by_scale_shaping_and_redistribution():

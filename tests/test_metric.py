@@ -124,6 +124,10 @@ class TestDistanceTable:
     def test_single_reward(self, mdp_4x3, reward_4x3):
         assert distance_table(mdp_4x3, [reward_4x3]).tolist() == [[0.0]]
 
+    def test_no_rewards_refused(self, mdp_4x3):
+        with pytest.raises(InvalidInstance, match="^need at least one reward$"):
+            distance_table(mdp_4x3, [])
+
 
 class TestRegretGap:
     def test_equal_rewards_zero_regret(self):

@@ -158,25 +158,46 @@ def _run_kind(kind, key, value):
 
 def test_config_rules_are_the_library_rules():
     # Whatever the config refuses, the library function that reads the value
-    # refuses too, so the two cannot drift apart.  Seeds are the exception by
-    # design: the config also refuses None, which the generators read as
-    # "unseeded", because a report must be reproducible.
+    # refuses too, so the two cannot drift apart.
     for key, rule in reports._SPEC_VALUES.items():
-        if key == "seed":
-            continue
         for bad in BAD[rule]:
             with pytest.raises(InvalidInstance, match=rf"^{key}: must be {re.escape(rule.what)}"):
                 _generator_call(key, bad)
     for key, rule in reports._OPTION_VALUES.items():
         kinds = [name for name, kind in reports.EXPERIMENT_KINDS.items() if key in kind.options]
         assert kinds, key
-        if key == "seed":
-            continue
         for kind in kinds:
             for bad in BAD[rule]:
                 with pytest.raises(InvalidInstance, match="must be"):
                     _run_kind(kind, key, bad)
                     pytest.fail(f"{kind} accepted {key} = {bad!r}")
+
+
+def test_every_seed_is_checked_where_it_enters(problem):
+    # No library function draws from a seed that is not a non-negative
+    # integer: None would draw an unseeded, unreproducible result.
+    mdp = problem[0]
+    reward = random_reward(1, 3, 2)
+    spec = BehavioralModelSpec("boltzmann", mdp, beta=1.0)
+    calls = {
+        "random_mdp": lambda v: random_mdp(v, 3, 2),
+        "random_reward": lambda v: random_reward(v, 3, 2),
+        "apply_redistribution_noise": lambda v: transforms.apply_redistribution_noise(mdp, reward, v, 1.0),
+        "invisible_reward_discount": lambda v: transforms.invisible_reward_discount(mdp, 0.9, 0.5, seed=v),
+        "discount_counterexample": lambda v: robustness.discount_counterexample(mdp, seed=v),
+        "perturbation_counterexample": lambda v: robustness.perturbation_counterexample(mdp, seed=v),
+        "separation_witness_search": lambda v: robustness.separation_witness_search(
+            spec, mdp, PolicyMetricSpec("l2"), 0.5, 0.1, seed=v
+        ),
+        "optimality_nonrobustness_witness": lambda v: robustness.optimality_nonrobustness_witness(mdp, seed=v),
+        "same_order_oracle": lambda v: oracles.same_order_oracle(mdp, reward, -reward, seed=v),
+        "monte_carlo_return": lambda v: oracles.monte_carlo_return(mdp, reward, np.full((3, 2), 0.5), 10, 10, v),
+    }
+    for site, call in calls.items():
+        for bad in BAD[SEED]:
+            with pytest.raises(InvalidInstance, match=rf"^seed: must be {re.escape(SEED.what)}, got "):
+                call(bad)
+                pytest.fail(f"{site} accepted seed = {bad!r}")
 
 
 def test_concentration_and_discount_refused_at_config_time():

@@ -417,6 +417,10 @@ class TestMonteCarlo:
         b = monte_carlo_return(mdp_4x3, reward_4x3, policy, 30, 1000, seed=7)
         assert a == b
 
+    def test_policy_is_checked(self, mdp_4x3, reward_4x3):
+        with pytest.raises(InvalidInstance, match="^policy has non-finite entries$"):
+            monte_carlo_return(mdp_4x3, reward_4x3, np.full((4, 3), np.nan), 30, 100, seed=0)
+
 
 class TestRegretWitness:
     def test_identical_rewards(self):

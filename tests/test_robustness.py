@@ -466,6 +466,21 @@ def test_malformed_certificate_document_refused_by_field():
     assert CounterexampleCertificate.from_dict(data).params == {}
 
 
+def test_certificate_document_with_unknown_scenario_model_or_metric_refused():
+    data = discount_counterexample(random_mdp(0, 3, 2)).to_dict()
+    scenarios = "('discount', 'transition', 'perturbation', 'optimality')"
+    for doc, message in (
+        ({**data, "policy_metric": "x", "model": 3, "scenario": 7}, f"scenario: must be one of {scenarios}, got 7"),
+        ({**data, "model": 3}, "model: must be an object with a model 'kind' and the weight it reads"),
+        ({**data, "model": {"kind": "boltzmann", "beta": -1}}, "model.beta: must be a finite positive number, got -1"),
+        ({**data, "policy_metric": "x"}, "policy_metric: must be one of ('l2', 'linf', 'occupancy_l2'), got 'x'"),
+        ({**data, "policy_metric": ["l2"]}, "policy_metric: must be one of ('l2', 'linf', 'occupancy_l2'), got ['l2']"),
+    ):
+        with pytest.raises(InvalidInstance) as refused:
+            CounterexampleCertificate.from_dict(doc)
+        assert str(refused.value) == message
+
+
 class TestDiscountCounterexample:
     def test_chain_certificate(self):
         cert = discount_counterexample(three_state_chain(), 0.9, 0.95)

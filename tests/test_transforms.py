@@ -345,6 +345,12 @@ class TestTransformChain:
         with pytest.raises(InvalidInstance, match="conditional mean"):
             apply_chain(mdp_4x3, scale * reward_4x3, TransformChain((Redistribution(biased),)))
 
+    def test_redistribution_bound_is_relative_below_unit_scale(self, mdp_4x3):
+        # A step of 1e-12 with a real conditional mean is no redistribution.
+        biased = 1e-12 * random_reward(4, 4, 3)
+        with pytest.raises(InvalidInstance, match="conditional mean"):
+            apply_chain(mdp_4x3, np.zeros((4, 3, 4)), TransformChain((Redistribution(biased),)))
+
     def test_scale_must_be_positive(self, mdp_4x3, reward_4x3):
         with pytest.raises(InvalidInstance, match="positive"):
             apply_chain(mdp_4x3, reward_4x3, TransformChain((Scale(-1.0),)))

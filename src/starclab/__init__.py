@@ -18,7 +18,6 @@ from .metric import (
     MetricReport,
     canonicalize,
     distance_table,
-    regret_gap,
     standardize,
     starc_distance,
 )
@@ -32,7 +31,6 @@ from .models import (
 )
 from .oracles import (
     enumerate_deterministic_policies,
-    monte_carlo_return,
     regret_witness_search,
     same_order_oracle,
 )

@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from .mdp import InvalidInstance, TabularMdp, random_mdp, random_reward, seeded_rng, three_state_chain
-from .metric import regret_gap, starc_distance, standardize
+from .metric import starc_distance, standardize
 from .models import BehavioralModelSpec, ModelTable, boltzmann_policy, materialize_model, mce_policy
 from .models import optimal_policy_uniform
-from .oracles import same_order_oracle
+from .oracles import regret_witness_search, same_order_oracle
 from .robustness import (
     HypothesisSet,
     check_epsilon_robust,
@@ -390,10 +390,10 @@ def criterion_12(failures: list[str]) -> str:
         r_2 = _random_shaped_equivalent(mdp, r_1, seed=19000 + i)
         d = starc_distance(mdp, r_1, r_2).distance
         if d < 1e-8:
-            regret, _ = regret_gap(mdp, r_1, r_2)
+            regret, _ = regret_witness_search(mdp, r_1, r_2)
             if regret >= 1e-8:
                 failures.append(f"pair {i}: d={d:.1e} but regret={regret:.2e}")
-        regret_neg, _ = regret_gap(mdp, r_1, -r_1)
+        regret_neg, _ = regret_witness_search(mdp, r_1, -r_1)
         if abs(regret_neg - 1.0) > 1e-8:
             failures.append(f"pair {i}: negation regret {regret_neg}")
     return "20 instances"

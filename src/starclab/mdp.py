@@ -314,7 +314,7 @@ def random_mdp(
     check_number(n_actions, COUNT, "n_actions")
     check_number(concentration, POSITIVE, "concentration")
     rng = seeded_rng(seed)
-    alpha = np.full(n_states, concentration)
+    alpha = np.full(n_states, float(concentration))
     transition = rng.dirichlet(alpha, size=(n_states, n_actions))
     initial_dist = rng.dirichlet(alpha)
     return TabularMdp(transition=transition, initial_dist=initial_dist, discount=discount)

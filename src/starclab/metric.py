@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import InvalidInstance, TabularMdp, reward_stack
-from .oracles import regret_witness_search
 from .transforms import CanonicalOperator, canonical_operator
 
 # A reward is trivial when its canonical part is at most this fraction of
@@ -107,10 +106,6 @@ def standardize(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     return operator.tensor(units)[0]
 
 
-def is_trivial(mdp: TabularMdp, reward: np.ndarray) -> bool:
-    return not standardize(mdp, reward).any()
-
-
 def starc_distance(mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray) -> MetricReport:
     _, norms, (unit_1, unit_2) = _standardized(canonical_operator(mdp), reward_stack(mdp, [reward_1, reward_2]))
     return MetricReport(
@@ -132,16 +127,3 @@ def distance_table(mdp: TabularMdp, rewards: Sequence[np.ndarray]) -> np.ndarray
         raise InvalidInstance("need at least one reward")
     _, _, units = _standardized(canonical_operator(mdp), reward_stack(mdp, rewards))
     return 0.5 * pairwise_norms(units, units)
-
-
-def regret_gap(
-    mdp: TabularMdp, reward_1: np.ndarray, reward_2: np.ndarray, cap: int = 4096
-) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """Worst normalized regret under reward 1 among policy swaps reward 2 endorses.
-
-    Maximizes (J1(pi_1) - J1(pi_2)) / (max J1 - min J1) over deterministic
-    policy pairs with J2(pi_2) >= J2(pi_1).  Returns 0 with no witness when
-    reward 1 is trivial on deterministic policies: their returns' range is
-    within 1e-10 times the largest |return| (``oracles.SIGN_BAND``).
-    """
-    return regret_witness_search(mdp, reward_1, reward_2, cap=cap)

@@ -1,10 +1,10 @@
-"""Brute-force and sampling oracles for validating the analytic modules.
+"""Brute-force oracles for validating the analytic modules.
 
 Everything here is deliberately independent of the canonicalization and
 model code, and reads only ``mdp`` and the Bellman layer ``_kernels``:
-policy enumeration, return comparison over all enumerable policies, Monte
-Carlo return estimation, and exhaustive regret-witness search.  The oracles
-are only feasible on small instances and exist to cross-check the fast paths.
+policy enumeration, return comparison over all enumerable policies, and
+exhaustive regret-witness search.  The oracles are only feasible on small
+instances and exist to cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .mdp import COUNT, InvalidInstance, TabularMdp, check_number, check_policy, check_reward, expected_reward
+from .mdp import COUNT, InvalidInstance, TabularMdp, check_number, expected_reward
 from .mdp import reward_stack, seeded_rng
 
 DEFAULT_CAP = 4096
@@ -184,43 +184,6 @@ def same_order_oracle(
     returns = _stacked_returns(mdp, policies, expected)
     d1, d2 = returns[:, 0::2] - returns[:, 1::2]
     return bool((_signs(d1, band_1) == _signs(d2, band_2)).all())
-
-
-def monte_carlo_return(
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    policy: np.ndarray,
-    horizon: int,
-    n_rollouts: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Truncated-rollout estimate of the policy return, with its standard error."""
-    reward = check_reward(mdp, reward)
-    policy = check_policy(mdp, policy)
-    check_number(horizon, COUNT, "horizon")
-    check_number(n_rollouts, COUNT, "n_rollouts")
-    rng = seeded_rng(seed)
-    policy_cum = np.cumsum(policy, axis=1)
-    trans_cum = np.cumsum(mdp.transition, axis=2)
-    init_cum = np.cumsum(mdp.initial_dist)
-
-    states = np.searchsorted(init_cum, rng.random(n_rollouts), side="right")
-    states = np.minimum(states, mdp.n_states - 1)
-    totals = np.zeros(n_rollouts)
-    discount_pow = 1.0
-    for _ in range(horizon):
-        u = rng.random(n_rollouts)
-        actions = (policy_cum[states] < u[:, None]).sum(axis=1)
-        actions = np.minimum(actions, mdp.n_actions - 1)
-        u = rng.random(n_rollouts)
-        nexts = (trans_cum[states, actions] < u[:, None]).sum(axis=1)
-        nexts = np.minimum(nexts, mdp.n_states - 1)
-        totals += discount_pow * reward[states, actions, nexts]
-        discount_pow *= mdp.discount
-        states = nexts
-    estimate = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
-    return estimate, stderr
 
 
 def _regret_witness(j1: np.ndarray, j2: np.ndarray) -> tuple[float, tuple[int, int] | None]:

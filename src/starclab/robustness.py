@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .mdp import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, SEED, Rule, check_number, check_object, seeded_rng
+from .mdp import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, Rule, check_number, check_object, seeded_rng
 from .mdp import (
     ConvergenceError,
     InvalidInstance,
@@ -424,7 +424,7 @@ class CounterexampleCertificate:
             policy_metric=PolicyMetricSpec(data["policy_metric"]).kind,
             policy_gap=float(check_number(data["policy_gap"], FINITE, "policy_gap")),
             distance=float(check_number(data["distance"], FINITE, "distance")),
-            params=data.get("params", {}),
+            params=check_object(data.get("params", {}), "params"),
         )
 
 
@@ -511,16 +511,12 @@ def perturbation_counterexample(
         raise InvalidInstance(f"perturbation counterexamples need a continuous model, not {model_kind!r}")
     check_number(c, POSITIVE, "c")
     check_number(delta, POSITIVE, "delta")
-    check_number(seed, SEED, "seed")
     metric = policy_metric or PolicyMetricSpec("l2")
 
-    unit = None
-    for attempt in range(20):
-        candidate = standardize(mdp, random_reward(seed + attempt, mdp.n_states, mdp.n_actions))
-        if candidate.any():
-            unit = candidate
-            break
-    if unit is None:
+    # The canonical space has dimension SA - S, so with A >= 2 a random
+    # reward has a canonical part; with A = 1 every reward is trivial.
+    unit = standardize(mdp, random_reward(seed, mdp.n_states, mdp.n_actions))
+    if not unit.any():
         raise InvalidInstance("could not find a non-trivial canonical direction")
     shaping_dir = shaping_tensor(mdp, np.ones(mdp.n_states))
     shaping_unit = shaping_dir / np.linalg.norm(shaping_dir)
@@ -624,14 +620,18 @@ def separation_witness_search(
     return None
 
 
-def optimality_nonrobustness_witness(
-    mdp: TabularMdp, seed: int = 0, max_samples: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def optimality_nonrobustness_witness(mdp: TabularMdp, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Two rewards with identical uniform-over-optimal policies but positive distance.
 
     Shows that assuming exactly optimal behaviour collapses genuinely
     different rewards onto the same policy.  Impossible (by a counting
     argument) only when |S| = 1 and |A| = 2, or when |A| = 1.
+
+    Reward 1 is drawn from ``seed``.  Lowering the reward of an action that
+    is not optimal lowers only that action's Q*-value, so V* and the
+    uniform-optimal policy stay while the ordering among suboptimal policies
+    moves; reward 2 is the copy, lowered by 2 at one non-optimal (s, a),
+    farthest from reward 1.
     """
     if mdp.n_states == 1 and mdp.n_actions == 2:
         raise InvalidInstance(
@@ -642,24 +642,32 @@ def optimality_nonrobustness_witness(
         raise InvalidInstance(
             "with a single action all rewards are order-equivalent; no witness exists"
         )
-    rng = seeded_rng(seed)
-    eta = DEFAULT_ETA
-    for _ in range(check_number(max_samples, COUNT, "max_samples")):
-        reward_1 = rng.standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
-        policy_1 = optimal_policy_uniform(mdp, reward_1)
-        # Lower one non-greedy action's reward: the greedy policy is
-        # unchanged, but the ordering among suboptimal policies moves.
+    reward_1 = seeded_rng(seed).standard_normal((mdp.n_states, mdp.n_actions, mdp.n_states))
+    policy_1 = optimal_policy_uniform(mdp, reward_1)
+    rows = np.flatnonzero(policy_1 < 1e-12)
+    if rows.size:
+        # Lowering row k = (s, a) by 2 moves only its row coordinate, by
+        # -2 * sum(u_k), so each copy's canonical coordinates are reward 1's
+        # plus the projection of that move: no copy is built to rank them.
+        operator = canonical_operator(mdp)
+        moves = np.zeros((rows.size, policy_1.size))
+        moves[np.arange(rows.size), rows] = -2.0 * operator.units[rows].sum(axis=1)
+        base = operator.coordinates(reward_1[None])
+        copies = base + operator.project(moves)
+        spread = np.linalg.norm(
+            copies / np.linalg.norm(copies, axis=1, keepdims=True) - base / np.linalg.norm(base), axis=1
+        )
+        s, a = np.unravel_index(rows[np.argmax(spread)], policy_1.shape)
         reward_2 = reward_1.copy()
-        nongreedy = np.argwhere(policy_1 < 1e-12)
-        if nongreedy.size == 0:
-            continue
-        s, a = nongreedy[rng.integers(len(nongreedy))]
-        reward_2[s, a, :] -= 1.0 + rng.random()
-        policy_2 = optimal_policy_uniform(mdp, reward_2)
-        if np.abs(policy_1 - policy_2).max() < eta:
-            if starc_distance(mdp, reward_1, reward_2).distance > 1e-3:
-                return reward_1, reward_2
-    raise RuntimeError(f"no witness found within {max_samples} samples")
+        reward_2[s, a] -= 2.0
+        if starc_distance(mdp, reward_1, reward_2).distance > 1e-3 and (
+            np.abs(optimal_policy_uniform(mdp, reward_2) - policy_1).max() < DEFAULT_ETA
+        ):
+            return reward_1, reward_2
+    raise InvalidInstance(
+        f"seed {seed}: no copy of the drawn reward lowered at a non-optimal action is "
+        "farther than 1e-3 from it with the same uniform-optimal policy"
+    )
 
 
 def two_epsilon_lemma_check(

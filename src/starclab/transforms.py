@@ -90,7 +90,10 @@ class CanonicalOperator:
 
     def coordinates(self, rewards: np.ndarray) -> np.ndarray:
         """Canonical coordinates (n, S*A) of a stack of n rewards (n, S, A, S)."""
-        y = self._row_coordinates(rewards)
+        return self.project(self._row_coordinates(rewards))
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """The part (n, S*A) of row coordinates y (n, S*A) orthogonal to every shaping."""
         return y - (y @ self.basis) @ self.basis.T
 
     def potentials(self, rewards: np.ndarray) -> np.ndarray:

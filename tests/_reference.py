@@ -1,15 +1,15 @@
 """Slow, independent ground truth that the tests check the fast paths against.
 
-Plain value iteration for the Bellman solvers, and the projection through
-the dense invariance basis for the closed-form canonicalization.  Both are
-only feasible on small instances.
+Plain value iteration for the Bellman solvers, truncated rollouts for
+policy returns, and the projection through the dense invariance basis for
+the closed-form canonicalization.  All are only feasible on small instances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from starclab.mdp import ConvergenceError, TabularMdp, check_reward
+from starclab.mdp import ConvergenceError, TabularMdp, check_policy, check_reward
 from starclab.transforms import invariance_basis
 
 
@@ -37,6 +37,41 @@ def value_iteration_oracle(
             return v_new
         v = v_new
     raise ConvergenceError(f"value iteration did not settle in {max_sweeps} sweeps")
+
+
+def monte_carlo_return(
+    mdp: TabularMdp,
+    reward: np.ndarray,
+    policy: np.ndarray,
+    horizon: int,
+    n_rollouts: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Truncated-rollout estimate of the policy return, with its standard error."""
+    reward = check_reward(mdp, reward)
+    policy = check_policy(mdp, policy)
+    rng = np.random.default_rng(seed)
+    policy_cum = np.cumsum(policy, axis=1)
+    trans_cum = np.cumsum(mdp.transition, axis=2)
+    init_cum = np.cumsum(mdp.initial_dist)
+
+    states = np.searchsorted(init_cum, rng.random(n_rollouts), side="right")
+    states = np.minimum(states, mdp.n_states - 1)
+    totals = np.zeros(n_rollouts)
+    discount_pow = 1.0
+    for _ in range(horizon):
+        u = rng.random(n_rollouts)
+        actions = (policy_cum[states] < u[:, None]).sum(axis=1)
+        actions = np.minimum(actions, mdp.n_actions - 1)
+        u = rng.random(n_rollouts)
+        nexts = (trans_cum[states, actions] < u[:, None]).sum(axis=1)
+        nexts = np.minimum(nexts, mdp.n_states - 1)
+        totals += discount_pow * reward[states, actions, nexts]
+        discount_pow *= mdp.discount
+        states = nexts
+    estimate = float(totals.mean())
+    stderr = float(totals.std(ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
+    return estimate, stderr
 
 
 def dense_invariant_projection(mdp: TabularMdp, tensor: np.ndarray) -> np.ndarray:

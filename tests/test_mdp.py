@@ -25,7 +25,9 @@ from starclab.mdp import (
     save_mdp,
     save_reward,
 )
-from starclab.oracles import enumerate_deterministic_policies, monte_carlo_return
+from starclab.oracles import enumerate_deterministic_policies
+
+from _reference import monte_carlo_return
 
 
 def uniform_policy(mdp):
@@ -298,6 +300,12 @@ class TestGenerators:
         for seed in range(100):
             mdp = random_mdp(seed, 10, 2, concentration=1e4)
             assert mdp.transition.max() < 2.0 / 10
+
+    def test_integer_concentration_beyond_int64(self):
+        # 2**70 is beyond int64; it reaches the Dirichlet draw as a float.
+        mdp = random_mdp(0, 3, 2, concentration=2**70)
+        assert np.array_equal(mdp.transition, random_mdp(0, 3, 2, concentration=float(2**70)).transition)
+        assert np.abs(mdp.transition - 1 / 3).max() < 1e-9
 
     def test_invalid_sizes(self):
         with pytest.raises(InvalidInstance):

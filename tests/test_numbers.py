@@ -104,18 +104,12 @@ def _sites(mdp, hyp, f, g):
         ("separation_witness_search", "delta", NON_NEGATIVE,
          lambda v: robustness.separation_witness_search(spec, mdp, l2, 0.5, v)),
         ("torus_gridworld", "n", GRID_SIDE, lambda v: robustness.torus_gridworld(v)),
-        ("optimality_nonrobustness_witness", "max_samples", COUNT,
-         lambda v: robustness.optimality_nonrobustness_witness(mdp, max_samples=v)),
         ("CounterexampleCertificate.from_dict", "policy_gap", FINITE,
          lambda v: robustness.CounterexampleCertificate.from_dict({**cert, "policy_gap": v})),
         ("CounterexampleCertificate.from_dict", "distance", FINITE,
          lambda v: robustness.CounterexampleCertificate.from_dict({**cert, "distance": v})),
         ("enumerate_deterministic_policies", "cap", COUNT, lambda v: oracles.enumerate_deterministic_policies(mdp, v)),
         ("same_order_oracle", "cap", COUNT, lambda v: oracles.same_order_oracle(mdp, reward, reward, cap=v)),
-        ("monte_carlo_return", "horizon", COUNT,
-         lambda v: oracles.monte_carlo_return(mdp, reward, np.full((3, 2), 0.5), v, 10, 0)),
-        ("monte_carlo_return", "n_rollouts", COUNT,
-         lambda v: oracles.monte_carlo_return(mdp, reward, np.full((3, 2), 0.5), 10, v, 0)),
     ]
 
 
@@ -191,7 +185,6 @@ def test_every_seed_is_checked_where_it_enters(problem):
         ),
         "optimality_nonrobustness_witness": lambda v: robustness.optimality_nonrobustness_witness(mdp, seed=v),
         "same_order_oracle": lambda v: oracles.same_order_oracle(mdp, reward, -reward, seed=v),
-        "monte_carlo_return": lambda v: oracles.monte_carlo_return(mdp, reward, np.full((3, 2), 0.5), 10, 10, v),
     }
     for site, call in calls.items():
         for bad in BAD[SEED]:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from starclab import (
     apply_potential_shaping,
     enumerate_deterministic_policies,
-    monte_carlo_return,
     policy_return,
     random_mdp,
     random_reward,
@@ -18,9 +17,11 @@ from starclab import (
     same_order_oracle,
     starc_distance,
 )
-from starclab import oracles
+from starclab import metric, oracles
 from starclab.mdp import DEFAULT_DP_TOL, ConvergenceError, InvalidInstance, TabularMdp, check_reward
 from starclab.oracles import EnumerationCapExceeded
+
+from _reference import monte_carlo_return
 
 
 def _reference_deterministic_returns(mdp, reward, cap):
@@ -204,13 +205,53 @@ class TestEnumeration:
             oracles.deterministic_policy(mdp, 2**70)
 
 
-def test_oracles_read_only_mdp_and_the_bellman_layer():
-    tree = ast.parse(Path(oracles.__file__).read_text())
+def _package_imports(source: str) -> set[str]:
+    """The starclab modules that ``source`` imports, by their names inside the package.
+
+    ``import starclab`` and ``from starclab import *`` count as ``"starclab"``.
+    """
     sources = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("starclab")):
-            sources.update([node.module] if node.module else [alias.name for alias in node.names])
-    assert sources == {"mdp", "_kernels"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "starclab"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "starclab"):
+            module = (node.module or "").removeprefix("starclab").lstrip(".")
+            names = [module] if module else [alias.name for alias in node.names]
+        else:
+            continue
+        sources.update(name.removeprefix("starclab.").split(".")[0].replace("*", "starclab") for name in names)
+    return sources
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from . import oracles",
+        "from .oracles import regret_witness_search",
+        "from starclab import oracles",
+        "from starclab import mdp, oracles as o",
+        "from starclab.oracles import regret_witness_search",
+        "import starclab.oracles",
+        "import starclab.oracles as o",
+    ],
+)
+def test_every_import_form_is_read(line):
+    assert "oracles" in _package_imports(line)
+
+
+@pytest.mark.parametrize("line", ["import starclab", "from starclab import *", "from . import *"])
+def test_the_whole_package_is_read_as_starclab(line):
+    assert _package_imports(line) == {"starclab"}
+
+
+def test_oracles_read_only_mdp_and_the_bellman_layer():
+    assert _package_imports(Path(oracles.__file__).read_text()) == {"mdp", "_kernels"}
+
+
+def test_metric_does_not_import_the_oracles():
+    imports = _package_imports(Path(metric.__file__).read_text())
+    assert "mdp" in imports
+    assert imports.isdisjoint({"oracles", "starclab"})
 
 
 class TestSameOrder:

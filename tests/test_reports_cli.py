@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starclab import InvalidInstance, boltzmann_policy, random_mdp, random_reward, starc_distance
-from starclab.cli import EXIT_OK, EXIT_VALIDATION, _config_from_args, build_parser, main
+from starclab.cli import EXIT_OK, EXIT_PIPELINE, EXIT_VALIDATION, _config_from_args, build_parser, main
 from starclab import reports
 from starclab.mdp import save_mdp, save_reward
 from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
@@ -390,6 +390,19 @@ class TestCli:
             config.write_text(f'{{"kind": "{kind}", "params": {params}}}')
             assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, params
             assert f"validation error: {path}:" in capsys.readouterr().err, params
+
+    def test_huge_integer_concentration_runs(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "starc-distance", "params": {"mdp": {"concentration": 2**70}}}))
+        assert main(["robustness", "check", "--config", str(config)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["mdp"]["concentration"] == 2**70
+
+    def test_count_numpy_cannot_allocate_exits_pipeline(self, tmp_path, capsys):
+        # A valid count that no array can hold fails in the pipeline, not in validation.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "starc-distance", "params": {"mdp": {"n_states": 2**70}}}))
+        assert main(["robustness", "check", "--config", str(config)]) == EXIT_PIPELINE
+        assert capsys.readouterr().err.startswith("pipeline error: ")
 
     def test_malformed_input_files_exit_validation_naming_the_field(self, io_files, capsys):
         mdp, r_1, _, paths, tmp = io_files

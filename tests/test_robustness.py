@@ -34,6 +34,7 @@ from starclab import (
     verify_transformation_bound,
 )
 from starclab.mdp import expected_reward, occupancy_measure
+from starclab.metric import MetricReport, distance_table
 from starclab.models import ModelTable
 from starclab.robustness import nudge_bound
 from starclab.transforms import (
@@ -457,6 +458,7 @@ def test_malformed_certificate_document_refused_by_field():
         ({**data, "mdp_gen": [1]}, "MDP document must be an object, got list"),
         ({**data, "policy_gap": "nan"}, "policy_gap: must be a finite number, got 'nan'"),
         ({**data, "distance": math.nan}, "distance: must be a finite number, got nan"),
+        ({**data, "params": 3}, "params must be an object, got int"),
     ):
         with pytest.raises(InvalidInstance) as refused:
             CounterexampleCertificate.from_dict(doc)
@@ -540,6 +542,10 @@ class TestPerturbationCounterexample:
     def test_discrete_model_rejected(self, mdp_4x3):
         with pytest.raises(InvalidInstance, match="continuous"):
             perturbation_counterexample(mdp_4x3, model_kind="optimal_uniform")
+
+    def test_single_action_has_no_canonical_direction(self):
+        with pytest.raises(InvalidInstance, match="^could not find a non-trivial canonical direction$"):
+            perturbation_counterexample(random_mdp(0, 3, 1))
 
 
 def _serial_perturbation(mdp, model_kind="boltzmann", c=1.0, delta=1e-2, policy_metric=None, seed=0):
@@ -740,12 +746,51 @@ class TestOptimalityWitness:
 
     def test_witness_on_three_state_mdp(self):
         mdp = random_mdp(77, 3, 2)
-        r_1, r_2 = optimality_nonrobustness_witness(mdp, max_samples=100)
+        r_1, r_2 = optimality_nonrobustness_witness(mdp)
         assert starc_distance(mdp, r_1, r_2).distance > 1e-3
+
+    def test_one_construction_per_seed_on_every_size(self):
+        # Reward 1 is the seed's one draw, and reward 2 lowers one of its
+        # (s, a) rows; 1 x 2 is the excluded size.
+        cases = 0
+        for n_states in range(1, 11):
+            for n_actions in (2, 3, 4):
+                if (n_states, n_actions) == (1, 2):
+                    continue
+                mdp = random_mdp(100 * n_states + n_actions, n_states, n_actions)
+                for seed in range(7):
+                    r_1, r_2 = optimality_nonrobustness_witness(mdp, seed=seed)
+                    case = (n_states, n_actions, seed)
+                    draw = np.random.default_rng(seed).standard_normal((n_states, n_actions, n_states))
+                    assert np.array_equal(r_1, draw), case
+                    assert len(np.argwhere((r_1 != r_2).any(axis=2))) == 1, case
+                    gap = np.abs(optimal_policy_uniform(mdp, r_1) - optimal_policy_uniform(mdp, r_2)).max()
+                    assert gap < 1e-6, case
+                    assert starc_distance(mdp, r_1, r_2).distance > 1e-3, case
+                    cases += 1
+        assert cases >= 200
+
+    def test_the_chosen_copy_is_the_farthest_by_the_distance_table(self):
+        # The ranking on canonical coordinates against every copy built and
+        # standardized in one table.
+        for n_states, n_actions, seed in ((2, 2, 0), (5, 3, 1), (10, 2, 3), (8, 4, 2)):
+            mdp = random_mdp(seed, n_states, n_actions)
+            r_1, r_2 = optimality_nonrobustness_witness(mdp, seed=seed)
+            rows = np.argwhere(optimal_policy_uniform(mdp, r_1) < 1e-12)
+            copies = np.repeat(r_1[None], len(rows), axis=0)
+            copies[np.arange(len(rows)), rows[:, 0], rows[:, 1]] -= 2.0
+            farthest = np.argmax(distance_table(mdp, [r_1, *copies])[0, 1:])
+            assert np.array_equal(r_2, copies[farthest])
 
     def test_excluded_size_rejected(self, one_state_mdp):
         with pytest.raises(InvalidInstance, match="no witness exists"):
             optimality_nonrobustness_witness(one_state_mdp(2))
+
+    def test_no_far_copy_is_refused_naming_the_seed(self, monkeypatch):
+        # The chosen copy at distance 0: the one check that refuses the seed.
+        monkeypatch.setattr(robustness_module, "starc_distance", lambda mdp, r_1, r_2: MetricReport(0.0, 1.0, 1.0, 1.0))
+        with pytest.raises(InvalidInstance, match="^seed 5: no copy of the drawn reward"):
+            optimality_nonrobustness_witness(random_mdp(0, 3, 2), seed=5)
 
 
 class TestOccupancyMetric:

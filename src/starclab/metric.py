@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import InvalidInstance, TabularMdp, reward_stack
-from .transforms import CanonicalOperator, canonical_operator
-
-# A reward is trivial when its canonical part is at most this fraction of
-# the reward's own norm: below that it is roundoff of the projection, at any
-# reward magnitude.
-TRIVIAL_RTOL = 1e-9
+from .transforms import CanonicalOperator, canonical_operator, is_trivial
 
 # Elements in one row block of pairwise differences (2 MiB of float64), so a
 # table of n by m rows of length d holds O(n*m + BLOCK_ELEMENTS) extra, not O(n*m*d).
@@ -87,7 +82,7 @@ def _standardized(
     rewards = np.ldexp(rewards, -exponents.reshape(-1, 1, 1, 1))
     coords = operator.coordinates(rewards)
     norms = np.linalg.norm(coords, axis=1)
-    trivial = norms <= TRIVIAL_RTOL * np.linalg.norm(rewards.reshape(len(rewards), -1), axis=1)
+    trivial = is_trivial(norms, np.linalg.norm(rewards.reshape(len(rewards), -1), axis=1))
     units = np.zeros_like(coords)
     np.divide(coords, norms[:, None], out=units, where=~trivial[:, None])
     return np.ldexp(coords, exponents[:, None]), np.ldexp(norms, exponents), units

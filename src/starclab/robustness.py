@@ -10,8 +10,8 @@ true one?  This module provides:
   chains whose only order-breaking step is a single bounded nudge;
 - counterexample certificates showing non-robustness to misspecified
   discounts, misspecified transition kernels, small policy perturbations,
-  and exact-optimality assumptions — each certificate re-verifiable from
-  its stored inputs.
+  and exact-optimality assumptions — each certificate a pair at distance 1
+  (or refused) and re-verifiable from its stored inputs.
 """
 
 from __future__ import annotations
@@ -41,23 +41,20 @@ from .transforms import (
     Redistribution,
     Scale,
     Shaping,
+    TRIVIAL_RTOL,
     TransformChain,
     apply_chain,
     apply_step,
     canonical_operator,
     invisible_reward_discount,
     invisible_reward_transition,
+    is_trivial,
     shaping_tensor,
 )
 
 DEFAULT_ETA = 1e-6
 DIST_TOL = 1e-8
 NUDGE_TOL = 1e-9
-# The most halvings of eps that ``perturbation_counterexample`` solves in one
-# stack.  A float64 keeps 53 bits, so about that many halvings below c the
-# +-eps*R parts are lost in the rounding of the shaping part: the two rewards,
-# and so their policies, coincide, and the gap is 0.
-MAX_RUNGS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +246,11 @@ def verify_transformation_bound(
     For each probe the nudge step must have norm at most
     ``|canonical(before)| * (sin(2*arcsin(epsilon/2)) + 1e-9)``, and the
     end-to-end distance between probe and transformed probe must be at most
-    ``epsilon`` (plus 1e-8).
+    ``epsilon`` (plus 1e-8).  An empty probe list checks nothing and is refused.
     """
     check_number(epsilon, NON_NEGATIVE, "epsilon")
+    if not len(probes):
+        raise InvalidInstance("need at least one probe")
     if chain.nudge_count() > 1:
         raise InvalidInstance("chain has more than one nudge step")
     reports = []
@@ -439,13 +438,16 @@ def _certificate(
 ) -> CounterexampleCertificate:
     """A certificate for a reward pair, measured by ``CounterexampleCertificate.measure``.
 
-    The generating environment is the model's own.
+    The generating environment is the model's own.  Every scenario claims
+    distance 1, so a pair farther than ``DIST_TOL`` from it is refused.
     """
     cert = CounterexampleCertificate(
         scenario, model.environment, mdp_eval, reward_1, reward_2, model.to_dict(), policy_metric,
         policy_gap=math.nan, distance=math.nan, params=params,
     )
     gap, dist = cert.measure()
+    if abs(dist - 1.0) > DIST_TOL:
+        raise InvalidInstance(f"the {scenario} pair measures distance {dist:g} under mdp_eval, not 1")
     return replace(cert, policy_gap=gap, distance=dist)
 
 
@@ -501,10 +503,13 @@ def perturbation_counterexample(
 
     The pair is ``eps*R + S`` and ``-eps*R + S`` where R is canonical with
     unit norm, S is a shaping reward (orthogonal to R by construction) sized
-    so both rewards have norm c.  eps is halved from c until the policy gap
-    under a continuous behavioural model is at most delta, then bisected
-    upward so the gap lands in [delta/2, delta], or, for a delta below the
-    gap's roundoff, until the bracket is two adjacent floats.
+    so both rewards have norm c.  Their canonical parts have norm eps, so
+    the triviality rule calls the pair trivial (distance 0) once eps is at
+    most ``TRIVIAL_RTOL * c``.  eps is halved from c, but only above that
+    floor, until the policy gap under a continuous behavioural model is at
+    most delta; a delta no rung above the floor reaches is refused.  eps is
+    then bisected upward so the gap lands in [delta/2, delta], or, for a
+    delta below the gap's roundoff, until the bracket is two adjacent floats.
     """
     spec = BehavioralModelSpec(model_kind, mdp, beta, alpha)
     if MODEL_KINDS[model_kind].weight is None:
@@ -520,9 +525,14 @@ def perturbation_counterexample(
         raise InvalidInstance("could not find a non-trivial canonical direction")
     shaping_dir = shaping_tensor(mdp, np.ones(mdp.n_states))
     shaping_unit = shaping_dir / np.linalg.norm(shaping_dir)
+    # c and eps are brought to c in [0.5, 1) by one exact power of two, so the
+    # squares neither overflow nor underflow, and an ordinary c keeps its bits.
+    exponent = math.frexp(c)[1]
+    c_scaled = math.ldexp(c, -exponent)
 
     def build(eps: float) -> tuple[np.ndarray, np.ndarray]:
-        s_part = math.sqrt(max(c * c - eps * eps, 0.0)) * shaping_unit
+        e = math.ldexp(eps, -exponent)
+        s_part = math.ldexp(math.sqrt(max(c_scaled * c_scaled - e * e, 0.0)), exponent) * shaping_unit
         return eps * unit + s_part, -eps * unit + s_part
 
     def gaps(rungs: list[float]) -> list[float]:
@@ -535,20 +545,19 @@ def perturbation_counterexample(
     hi = c * (1.0 - 1e-12)
     eps = hi
     [g] = gaps([eps])
-    # Halve eps until the gap is at most delta.  The halvings are solved as
-    # the rungs of one stack: up to one past the rung where the last gap,
-    # halved per rung, would reach delta, and at most MAX_RUNGS; a further
-    # stack only if no rung qualifies.
+    # Halve eps above the triviality floor until the gap is at most delta.
+    # The halvings are solved as the rungs of one stack: up to one past the
+    # rung where the last gap, halved per rung, would reach delta; a further
+    # stack only if no rung qualifies.  The floor allows about 30 rungs.
     while g > delta:
         rungs = []
-        while len(rungs) < min(math.log2(g / delta) + 1, MAX_RUNGS):
+        while len(rungs) < math.log2(g / delta) + 1 and not is_trivial(eps / 2.0, c):
             eps /= 2.0
-            if eps < 1e-300:
-                break
             rungs.append(eps)
         if not rungs:
             raise InvalidInstance(
-                f"delta = {delta:g} requires eps below 1e-300; cannot represent"
+                f"delta = {delta:g} needs eps at or below the triviality floor "
+                f"TRIVIAL_RTOL * c = {TRIVIAL_RTOL * c:g}, where the pair is at distance 0"
             )
         try:
             ladder = gaps(rungs)
@@ -564,9 +573,7 @@ def perturbation_counterexample(
                 break
     # eps now gives gap <= delta; bisect upward so the gap lands in [delta/2, delta].
     lo, hi_b = eps, min(2.0 * eps, hi)
-    for _ in range(200):
-        if g >= delta / 2.0:
-            break
+    while g < delta / 2.0:
         mid = 0.5 * (lo + hi_b)
         if mid in (lo, hi_b):
             # Adjacent floats: no eps between them.  Below roundoff delta the
@@ -697,42 +704,28 @@ def torus_gridworld(n: int, gamma: float = 0.9, slippery: bool = False) -> Tabul
     lands up-left, up, or up-right).
     """
     check_number(n, GRID_SIDE, "n")
-    n_states = n * n
-    moves = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}  # up, down, left, right
-    transition = np.zeros((n_states, 4, n_states))
-    for r in range(n):
-        for col in range(n):
-            s = r * n + col
-            for a, (dr, dc) in moves.items():
-                targets = [(dr, dc)]
-                if slippery:
-                    if dr != 0:  # vertical move slips sideways
-                        targets = [(dr, -1), (dr, 0), (dr, 1)]
-                    else:  # horizontal move slips vertically
-                        targets = [(-1, dc), (0, dc), (1, dc)]
-                p = 1.0 / len(targets)
-                for tdr, tdc in targets:
-                    t = ((r + tdr) % n) * n + ((col + tdc) % n)
-                    transition[s, a, t] += p
-    initial = np.full(n_states, 1.0 / n_states)
+    states = np.arange(n * n)
+    rows, cols = np.divmod(states[:, None, None], n)
+    moves = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])  # up, down, left, right
+    # Offsets (action, outcome, 2): a slip is one step across the move.
+    slips = np.array([-1, 0, 1]) if slippery else np.array([0])
+    offsets = moves[:, None] + slips[:, None] * np.abs(moves[:, None, ::-1])
+    targets = (rows + offsets[..., 0]) % n * n + (cols + offsets[..., 1]) % n
+    transition = np.zeros((n * n, 4, n * n))
+    # On a 2-wide torus two slips can reach one cell: their probabilities add.
+    np.add.at(transition, (states[:, None, None], np.arange(4)[:, None], targets), 1.0 / len(slips))
+    initial = np.full(n * n, 1.0 / (n * n))
     return TabularMdp(transition=transition, initial_dist=initial, discount=gamma)
 
 
 def _movement_schema_reward(n: int) -> np.ndarray:
     """Reward by displacement: rightward moves +1, leftward -1, vertical 0."""
-    schema = {
-        (-1, 0): 0.0, (-1, 1): 1.0, (0, 1): 1.0, (1, 1): 1.0,
-        (1, 0): 0.0, (1, -1): -1.0, (0, -1): -1.0, (-1, -1): -1.0,
-    }
-    n_states = n * n
-    reward = np.zeros((n_states, 4, n_states))
-    for r in range(n):
-        for col in range(n):
-            s = r * n + col
-            for (dr, dc), value in schema.items():
-                t = ((r + dr) % n) * n + ((col + dc) % n)
-                reward[s, :, t] = value
-    return reward
+    # Displacements in {-1, ..., n-2}; on a 2-wide torus right is also left, and reads -1.
+    rows, cols = np.divmod(np.arange(n * n), n)
+    d_row = (rows[None, :] - rows[:, None] + 1) % n - 1
+    d_col = (cols[None, :] - cols[:, None] + 1) % n - 1
+    value = np.where((np.abs(d_row) <= 1) & (np.abs(d_col) <= 1), d_col, 0).astype(float)
+    return np.repeat(value[:, None, :], 4, axis=1)
 
 
 def gridworld_demo(
@@ -751,22 +744,19 @@ def gridworld_demo(
     reward_1 = _movement_schema_reward(n)
 
     # Per (s, a): negate the deterministic outcome's entry, then spread the
-    # correction over the two slip outcomes so the slippery-kernel mean of
-    # reward 2 equals that of reward 1 exactly (minimum-norm split).
-    reward_2 = np.zeros_like(reward_1)
-    n_states = n * n
-    for s in range(n_states):
-        for a in range(4):
-            det_target = int(np.argmax(mdp_det.transition[s, a]))
-            support = np.flatnonzero(mdp_slip.transition[s, a] > 0)
-            mean_1 = mdp_slip.transition[s, a] @ reward_1[s, a]
-            reward_2[s, a, det_target] = -reward_1[s, a, det_target]
-            others = [t for t in support if t != det_target]
-            residual = mean_1 - mdp_slip.transition[s, a, det_target] * reward_2[s, a, det_target]
-            if others:
-                weights = mdp_slip.transition[s, a, others]
-                # Minimum-norm row completion of the single mean constraint.
-                reward_2[s, a, others] = residual * weights / (weights @ weights)
+    # correction over the other slip outcomes so the slippery-kernel mean of
+    # reward 2 equals that of reward 1 exactly (the minimum-norm completion
+    # of the single mean constraint).
+    slip = mdp_slip.transition
+    s, a = np.indices((n * n, 4))
+    det = mdp_det.transition.argmax(axis=2)
+    flipped = -reward_1[s, a, det]
+    residual = np.einsum("sat,sat->sa", slip, reward_1) - slip[s, a, det] * flipped
+    weights = slip.copy()
+    weights[s, a, det] = 0.0
+    spread = residual[..., None] * weights / np.einsum("sat,sat->sa", weights, weights)[..., None]
+    reward_2 = np.where(weights > 0, spread, 0.0)
+    reward_2[s, a, det] = flipped
 
     model = BehavioralModelSpec("mce", mdp_slip, alpha=alpha)
     params = {"n": n, "gamma": gamma, "alpha": alpha, "demo": "torus-gridworld"}

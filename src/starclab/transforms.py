@@ -8,8 +8,9 @@ Shaping and redistribution together span a linear subspace per environment.
 This module projects onto it in closed form (``canonical_operator``),
 classifies reward pairs by how they differ, composes transformation chains,
 and constructs "invisible" rewards — pure-shaping or pure-redistribution
-rewards for one environment that remain meaningful in another.
-Only the tests read the dense bases of ``invariance_basis``.
+rewards for one environment that remain meaningful in another.  It holds
+the one triviality rule (``is_trivial``) that the metric and the certificate
+constructors read.  Only the tests read the dense bases of ``invariance_basis``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,17 @@ from .mdp import InvalidInstance, TabularMdp, check_reward, expected_reward, fin
 
 SUBSPACE_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-8
-NONTRIVIAL_TOL = 1e-6
 MAX_POTENTIAL_ATTEMPTS = 100
+
+# A reward is trivial when its canonical part is at most this fraction of
+# the reward's own norm: below that it is roundoff of the projection, at any
+# reward magnitude.
+TRIVIAL_RTOL = 1e-9
+
+
+def is_trivial(canonical_norm, reward_norm):
+    """``|canonical(R)| <= TRIVIAL_RTOL * |R|``, elementwise: the metric's and the certificates' one rule."""
+    return canonical_norm <= TRIVIAL_RTOL * reward_norm
 
 
 def shaping_tensor(mdp: TabularMdp, phi: np.ndarray, discount: float | None = None) -> np.ndarray:
@@ -240,7 +250,8 @@ def invisible_reward_discount(
     ``gamma_1`` treats this reward (and all its multiples, including its
     negation) identically, yet under ``gamma_2`` the reward still expresses a
     genuine preference.  Indicator potentials are tried first, then seeded
-    random potentials, up to 100 attempts.
+    random potentials, up to 100 attempts; the first that ``is_trivial``
+    calls non-trivial under ``gamma_2`` is returned.
     """
     if check_number(gamma_1, DISCOUNT, "gamma_1") == check_number(gamma_2, DISCOUNT, "gamma_2"):
         raise InvalidInstance("the two discounts must differ")
@@ -258,7 +269,7 @@ def invisible_reward_discount(
         else:
             phi = rng.standard_normal(mdp.n_states)
         candidate = shaping_tensor(mdp, phi, discount=gamma_1)
-        if np.linalg.norm(operator.coordinates(candidate[None])) > NONTRIVIAL_TOL:
+        if not is_trivial(np.linalg.norm(operator.coordinates(candidate[None])), np.linalg.norm(candidate)):
             return candidate
     raise InvalidInstance(
         f"no potential yielded a non-trivial shaping reward after {MAX_POTENTIAL_ATTEMPTS} attempts"

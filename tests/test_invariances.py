@@ -8,26 +8,37 @@ permutation of its states and one of its actions, over random, zero,
 rounded (tied) and scaled rewards.  The distance, and so the robustness
 checker, must also read a reward the same at any positive scale a float
 holds, and after potential shaping and redistribution; so must
-``differ_by`` classify a pair.
+``differ_by`` classify a pair.  And every certificate the discount,
+transition and perturbation constructors return must be a pair at distance
+1 that verifies, over discount gaps, policy gaps, reward scales and action
+counts: where the metric cannot tell the pair apart, the constructor
+refuses it with ``InvalidInstance``.
 """
+
+from collections import Counter
+from functools import partial
 
 import numpy as np
 
 from starclab import (
     BehavioralModelSpec,
     HypothesisSet,
+    InvalidInstance,
     ModelTable,
     TabularMdp,
     apply_potential_shaping,
     apply_redistribution_noise,
     check_epsilon_robust,
     differ_by,
+    discount_counterexample,
     distance_table,
     materialize_model,
     min_robust_epsilon,
+    perturbation_counterexample,
     random_mdp,
     random_reward,
     same_order_oracle,
+    transition_counterexample,
 )
 
 N_CASES = 40
@@ -127,3 +138,30 @@ def test_same_order_verdicts_are_unchanged():
             verdicts.append((name, verdict))
     assert all(verdict for name, verdict in verdicts if name == "shaped")
     assert not any(verdict for name, verdict in verdicts if name == "negated")
+
+
+def _constructor_cases():
+    """(scenario, constructor call) over the grid of certificate inputs."""
+    for n_actions in (1, 2, 3):
+        mdp, other = random_mdp(40 + n_actions, 4, n_actions), random_mdp(50 + n_actions, 4, n_actions)
+        for kind in ("boltzmann", "mce"):
+            for gap in (5e-2, 1e-4, 1e-7, 1e-8, 1e-9):
+                yield "discount", partial(discount_counterexample, mdp, 0.9, 0.9 + gap, model_kind=kind)
+            yield "transition", partial(transition_counterexample, mdp, other, model_kind=kind)
+            for delta in (1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-200):
+                for c in (1e-6, 1.0, 1e9):
+                    yield "perturbation", partial(perturbation_counterexample, mdp, kind, c=c, delta=delta)
+
+
+def test_every_certificate_is_at_distance_one_or_refused():
+    built = Counter()
+    for scenario, construct in _constructor_cases():
+        try:
+            cert = construct()
+        except InvalidInstance:
+            continue
+        assert abs(cert.distance - 1.0) <= 1e-6 and cert.verify(), (scenario, construct)
+        built[scenario] += 1
+    # Two actions or more, both models: discount gaps down to 1e-8, and
+    # perturbations with delta down to 1e-6 at c of 1e-6 and 1, build.
+    assert built["discount"] >= 2 * 2 * 4 and built["transition"] == 2 * 2 and built["perturbation"] >= 2 * 2 * 3 * 2

@@ -17,7 +17,7 @@ from starclab import (
     same_order_oracle,
     starc_distance,
 )
-from starclab import metric, oracles
+from starclab import oracles
 from starclab.mdp import DEFAULT_DP_TOL, ConvergenceError, InvalidInstance, TabularMdp, check_reward
 from starclab.oracles import EnumerationCapExceeded
 
@@ -244,14 +244,32 @@ def test_the_whole_package_is_read_as_starclab(line):
     assert _package_imports(line) == {"starclab"}
 
 
-def test_oracles_read_only_mdp_and_the_bellman_layer():
-    assert _package_imports(Path(oracles.__file__).read_text()) == {"mdp", "_kernels"}
+# The starclab modules each module imports, layer by layer.  The oracles
+# read only the MDP and the Bellman layer, and the metric never the oracles.
+# ``transforms`` holds the triviality rule that ``metric`` reads, so it must
+# never import ``metric``.
+PACKAGE_IMPORTS = {
+    "_kernels": set(),
+    "mdp": {"_kernels"},
+    "transforms": {"mdp"},
+    "metric": {"mdp", "transforms"},
+    "models": {"_kernels", "mdp", "metric"},
+    "oracles": {"mdp", "_kernels"},
+    "robustness": {"mdp", "metric", "models", "transforms"},
+    "reports": {"mdp", "metric", "models", "oracles", "robustness"},
+    "acceptance": {"mdp", "metric", "models", "oracles", "robustness", "transforms"},
+    "cli": {"acceptance", "mdp", "models", "reports"},
+}
+PACKAGE_DIR = Path(oracles.__file__).parent
 
 
-def test_metric_does_not_import_the_oracles():
-    imports = _package_imports(Path(metric.__file__).read_text())
-    assert "mdp" in imports
-    assert imports.isdisjoint({"oracles", "starclab"})
+@pytest.mark.parametrize("module", sorted(PACKAGE_IMPORTS))
+def test_each_module_imports_exactly_its_row(module):
+    assert _package_imports((PACKAGE_DIR / f"{module}.py").read_text()) == PACKAGE_IMPORTS[module]
+
+
+def test_every_module_has_a_row():
+    assert {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"} == set(PACKAGE_IMPORTS)
 
 
 class TestSameOrder:

@@ -238,6 +238,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["certificate"]["distance"] >= 0.99
 
+    def test_certificates_leave_at_distance_one_or_exit_validation(self, tmp_path, capsys):
+        # Each of these either refused a pair the metric resolves or printed
+        # "verified": true with distance 0.0.
+        for argv in (["gamma", "--gamma2", "0.9000001"], ["perturb", "--c", "1e200", "--beta", "1e-200"]):
+            assert main(["counterexample", *argv]) == EXIT_OK, argv
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert results["verified"] is True and results["certificate"]["distance"] == pytest.approx(1.0, abs=1e-8)
+        for flags in (["--delta", "1e-12"], ["--c", "1e9"]):
+            assert main(["counterexample", "perturb", *flags]) == EXIT_VALIDATION, flags
+            assert "triviality floor TRIVIAL_RTOL * c" in capsys.readouterr().err
+        config = tmp_path / "tau.json"
+        params = {"mdp_1": {"n_actions": 1}, "mdp_2": {"n_actions": 1}}
+        config.write_text(json.dumps({"kind": "counterexample-tau", "params": params}))
+        assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION
+        assert "the transition pair measures distance 0 under mdp_eval, not 1" in capsys.readouterr().err
+
     def test_unused_tolerance_flags_rejected(self, io_files):
         _, _, _, paths, _ = io_files
         args = ["starc", "--mdp", str(paths["mdp"]), "--reward1", str(paths["r1"]), "--reward2", str(paths["r2"])]

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -394,6 +395,12 @@ class TestTransformationBound:
         with pytest.raises(InvalidInstance, match="more than one nudge"):
             verify_transformation_bound(mdp_4x3, chain, [reward_4x3], epsilon=0.1)
 
+    def test_empty_probe_list_rejected(self, mdp_4x3):
+        # With no probe nothing is checked, so there is no pass to report.
+        chain = TransformChain((Scale(2.0),))
+        with pytest.raises(InvalidInstance, match="^need at least one probe$"):
+            verify_transformation_bound(mdp_4x3, chain, [], epsilon=0.1)
+
 
 class TestDecompose:
     def test_identity_target_zero_nudge(self, mdp_4x3, reward_4x3):
@@ -504,8 +511,73 @@ class TestDiscountCounterexample:
         again = CounterexampleCertificate.from_dict(cert.to_dict())
         assert again.verify()
 
+    def test_gap_the_metric_resolves_builds_at_distance_one(self):
+        # An absolute floor of 1e-6 on the canonical norm refused these gaps,
+        # though the first candidate's norm, 8.5e-8 against |R| = 4.04, is
+        # far above the metric's relative rule.
+        mdp = random_mdp(0, 4, 3)
+        for gap in (1e-7, 1e-8):
+            cert = discount_counterexample(mdp, 0.9, 0.9 + gap)
+            assert cert.distance == pytest.approx(1.0, abs=1e-8) and cert.verify(), gap
+
+    def test_gap_the_metric_cannot_resolve_is_refused(self):
+        mdp = random_mdp(0, 4, 3)
+        with pytest.raises(InvalidInstance, match="^no potential yielded a non-trivial shaping reward"):
+            discount_counterexample(mdp, 0.9, 0.9 + 1e-9)
+        for state in range(4):
+            candidate = robustness_module.shaping_tensor(mdp, np.eye(4)[state], 0.9)
+            assert starc_distance(mdp.with_discount(0.9 + 1e-9), candidate, -candidate).distance == 0.0
+
+
+def _loop_gridworld(n, gamma=0.9):
+    """The nested loops the torus gridworld and its demo's reward pair were
+    built with, kept as the reference: (deterministic kernel, slippery
+    kernel, reward 1, reward 2)."""
+    n_states = n * n
+    moves = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+    kernels = []
+    for slippery in (False, True):
+        transition = np.zeros((n_states, 4, n_states))
+        for r in range(n):
+            for col in range(n):
+                for a, (dr, dc) in moves.items():
+                    targets = [(dr, dc)]
+                    if slippery:
+                        targets = [(dr, -1), (dr, 0), (dr, 1)] if dr != 0 else [(-1, dc), (0, dc), (1, dc)]
+                    for tdr, tdc in targets:
+                        transition[r * n + col, a, ((r + tdr) % n) * n + ((col + tdc) % n)] += 1.0 / len(targets)
+        kernels.append(transition)
+    det, slip = kernels
+    schema = {
+        (-1, 0): 0.0, (-1, 1): 1.0, (0, 1): 1.0, (1, 1): 1.0,
+        (1, 0): 0.0, (1, -1): -1.0, (0, -1): -1.0, (-1, -1): -1.0,
+    }
+    reward_1 = np.zeros((n_states, 4, n_states))
+    for r in range(n):
+        for col in range(n):
+            for (dr, dc), value in schema.items():  # the last write to a cell stands
+                reward_1[r * n + col, :, ((r + dr) % n) * n + ((col + dc) % n)] = value
+    reward_2 = np.zeros_like(reward_1)
+    for s in range(n_states):
+        for a in range(4):
+            target = int(np.argmax(det[s, a]))
+            reward_2[s, a, target] = -reward_1[s, a, target]
+            residual = slip[s, a] @ reward_1[s, a] - slip[s, a, target] * reward_2[s, a, target]
+            others = [t for t in np.flatnonzero(slip[s, a] > 0) if t != target]
+            weights = slip[s, a, others]
+            reward_2[s, a, others] = residual * weights / (weights @ weights)
+    return det, slip, reward_1, reward_2
+
 
 class TestTransitionCounterexample:
+    def test_gridworld_matches_the_loops_bit_for_bit(self):
+        # n = 2 has coinciding slip targets and schema cells.
+        for n in range(2, 8):
+            cert = gridworld_demo(n)
+            built = (cert.mdp_eval.transition, cert.mdp_gen.transition, cert.reward_1, cert.reward_2)
+            for array, ref in zip(built, _loop_gridworld(n)):
+                assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), n  # -0.0 too
+
     def test_gridworld_demo_certificate(self):
         cert = gridworld_demo(n=3)
         assert cert.policy_gap < 1e-6
@@ -524,6 +596,11 @@ class TestTransitionCounterexample:
     def test_torus_rows_stochastic(self):
         mdp = torus_gridworld(4, slippery=True)
         assert np.abs(mdp.transition.sum(axis=2) - 1.0).max() < 1e-12
+
+    def test_pair_at_distance_zero_is_refused(self):
+        # With one action every reward is trivial, so r and -r are at distance 0.
+        with pytest.raises(InvalidInstance, match="^the transition pair measures distance 0 under mdp_eval, not 1$"):
+            transition_counterexample(random_mdp(0, 4, 1), random_mdp(1, 4, 1))
 
 
 class TestPerturbationCounterexample:
@@ -547,13 +624,37 @@ class TestPerturbationCounterexample:
         with pytest.raises(InvalidInstance, match="^could not find a non-trivial canonical direction$"):
             perturbation_counterexample(random_mdp(0, 3, 1))
 
+    def test_delta_below_the_triviality_floor_is_refused(self):
+        # The ladder once went on to eps = 1.8e-12 and c = 1e8..1e12 to eps
+        # below 1e-9 * c, where the pair measures distance 0.
+        floor = re.escape("needs eps at or below the triviality floor TRIVIAL_RTOL * c = ")
+        with pytest.raises(InvalidInstance, match=f"^delta = 1e-12 {floor}1e-09, where the pair is at distance 0$"):
+            perturbation_counterexample(random_mdp(3, 4, 3), delta=1e-12)
+        for c in (1e8, 1e9, 1e10, 1e11, 1e12):
+            with pytest.raises(InvalidInstance, match=f"^delta = 0.01 {floor}{c * 1e-9:g},"):
+                perturbation_counterexample(random_mdp(2, 4, 3), c=c)
 
-def _serial_perturbation(mdp, model_kind="boltzmann", c=1.0, delta=1e-2, policy_metric=None, seed=0):
+    def test_shaping_part_is_scale_free(self):
+        # sqrt(c*c - eps*eps) overflowed to NaN for c of 1.34e154 and above,
+        # and underflowed to 0 for c of 1e-154 and below.
+        mdp = random_mdp(0, 4, 3)
+        unit = perturbation_counterexample(mdp, beta=1.0, c=1.0)
+        for c, beta in ((1e200, 1e-200), (1e-200, 1e200)):
+            cert = perturbation_counterexample(mdp, beta=beta, c=c)
+            assert cert.distance == pytest.approx(1.0, abs=1e-8) and cert.verify(), c
+            assert cert.params["eps"] / c == pytest.approx(unit.params["eps"], rel=1e-12)
+            for reward in (cert.reward_1, cert.reward_2):
+                assert np.linalg.norm(reward / c) == pytest.approx(1.0, rel=1e-12)
+
+
+def _serial_perturbation(mdp, model_kind="boltzmann", c=1.0, delta=1e-2, policy_metric=None, seed=0, beta=1.0):
     """The halving search with one N=2 solve per eps that the stacked ladder replaced.
 
-    Returns the certificate and whether the upward bisection ran.
+    It halves eps only above the triviality floor 1e-9 * c, where the pair
+    would be at distance 0.  Returns the certificate and whether the upward
+    bisection ran.
     """
-    spec = BehavioralModelSpec(model_kind, mdp, 1.0, 1.0)
+    spec = BehavioralModelSpec(model_kind, mdp, beta, 1.0)
     metric = policy_metric or PolicyMetricSpec("l2")
     unit = next(
         u for attempt in range(20)
@@ -574,8 +675,11 @@ def _serial_perturbation(mdp, model_kind="boltzmann", c=1.0, delta=1e-2, policy_
     g = gap(eps)
     while g > delta:
         eps /= 2.0
-        if eps < 1e-300:
-            raise InvalidInstance(f"delta = {delta:g} requires eps below 1e-300; cannot represent")
+        if eps <= 1e-9 * c:
+            raise InvalidInstance(
+                f"delta = {delta:g} needs eps at or below the triviality floor "
+                f"TRIVIAL_RTOL * c = {1e-9 * c:g}, where the pair is at distance 0"
+            )
         g = gap(eps)
     lo, hi_b = eps, min(2.0 * eps, hi)
     bisected = False
@@ -622,18 +726,21 @@ class TestPerturbationLadder:
     def test_bisection_branch_matches(self):
         linf = PolicyMetricSpec("linf")
         # The halving overshoots below delta/2 here, so the bisection runs.
-        # At delta = 1e-200 the gap is exactly 0 once +-eps*R vanishes in the
-        # rounding of the shaping part, and the bisection runs until its
-        # bracket is two adjacent floats; the serial search runs all 200 steps.
-        for mdp, delta, metric in ((random_mdp(0, 4, 3), 0.5, linf), (random_mdp(3, 4, 3), 1e-200, None)):
-            cert = perturbation_counterexample(mdp, delta=delta, policy_metric=metric)
-            ref, ran = _serial_perturbation(mdp, delta=delta, policy_metric=metric)
+        # At beta = 1e-12 and delta = 1e-20 the gap is either exactly 0 or at
+        # least an ulp of the policies, far above delta, so the bisection runs
+        # until its bracket is two adjacent floats; the serial search runs all
+        # 200 steps.
+        rows = ((random_mdp(0, 4, 3), 1.0, 0.5, linf), (random_mdp(3, 4, 3), 1e-12, 1e-20, None))
+        for mdp, beta, delta, metric in rows:
+            cert = perturbation_counterexample(mdp, beta=beta, delta=delta, policy_metric=metric)
+            ref, ran = _serial_perturbation(mdp, beta=beta, delta=delta, policy_metric=metric)
             assert ran
             _assert_same_certificate(cert, ref)
 
     def test_bisection_stops_when_the_bracket_cannot_shrink(self, monkeypatch):
         # Below roundoff delta no eps gives a gap in [delta/2, delta]: the gap
         # is 0 at lo and above delta at hi, until the two are adjacent floats.
+        # A small beta puts such a delta above the triviality floor's gap.
         solves = []
         policies = BehavioralModelSpec.policies
 
@@ -645,11 +752,11 @@ class TestPerturbationLadder:
         for seed in range(4):
             mdp = random_mdp(seed, 6, 3)
             solves.clear()
-            ref, ran = _serial_perturbation(mdp, delta=1e-200, seed=seed)
+            ref, ran = _serial_perturbation(mdp, delta=1e-20, seed=seed, beta=1e-12)
             serial_solves = len(solves)
             solves.clear()
-            cert = perturbation_counterexample(mdp, delta=1e-200, seed=seed)
-            assert ran and cert.policy_gap == 0.0
+            cert = perturbation_counterexample(mdp, beta=1e-12, delta=1e-20, seed=seed)
+            assert ran and cert.policy_gap == 0.0 and cert.distance == pytest.approx(1.0, abs=1e-8)
             _assert_same_certificate(cert, ref)
             # [eps, 2 eps] holds 2**52 floats, so about 53 halvings of the
             # bracket reach adjacent floats; the serial search spends 200.
@@ -661,7 +768,10 @@ class TestPerturbationLadder:
             _serial_perturbation(mdp, policy_metric=_ConstantMetric("l2"))
         with pytest.raises(InvalidInstance) as ladder:
             perturbation_counterexample(mdp, policy_metric=_ConstantMetric("l2"))
-        assert str(ladder.value) == str(serial.value) == "delta = 0.01 requires eps below 1e-300; cannot represent"
+        assert str(ladder.value) == str(serial.value) == (
+            "delta = 0.01 needs eps at or below the triviality floor TRIVIAL_RTOL * c = 1e-09, "
+            "where the pair is at distance 0"
+        )
 
     @staticmethod
     def _fail_below(monkeypatch, threshold):

@@ -6,9 +6,9 @@ Everything here works on stacks.  ``evaluate`` is the one stacked solve of
 deterministic policies, behind ``mdp.policy_evaluation``, policy iteration
 and the oracles.  ``policy_iteration`` and ``soft_policy_iteration`` solve the
 optimal and the entropy-regularised fixed points of an (N, S, A) stack of
-expected rewards at once: each round is one batched linear solve over the
-items still running, and each item keeps its own switch rule, roundoff
-floor, stop test, round count and residual.  Every per-item step (the
+expected rewards at once, each as a step rule of ``_iterate``, the one loop:
+a batched linear solve per round over the items still running, each item with
+its own stop test, round count and accepted residual.  Every per-item step (the
 gathers, the batched solve, Q formed by one matrix-vector product per item)
 gives an item the same bits whatever the stack's size or order, so a single
 reward is simply the N=1 case.  Each round is a dense solve, so the rounds
@@ -126,15 +126,38 @@ def evaluate_deterministic(transition, discount, actions, r_pi):
     return np.linalg.solve(np.eye(len(states)) - discount * transition[states, actions], r_pi)
 
 
-def _record(done, live, out, *values):
-    """Store the values of the items that are ``done`` at their places in ``out``; return the rest of ``live``.
+def _iterate(step, state, max_iters, tol, solver):
+    """The stacked loop of both fixed-point solvers: ``(v (N, S), q (N, S, A), rounds (N,), residual (N,))``.
 
-    A stack whose items all finish in the same round skips this and returns its values as they are.
+    ``state`` is a tuple of per-item arrays.  Each round, ``step(state)`` gives the
+    items' done mask, their ``(v, q, residual)`` and ``advance``, the next state of
+    the items at an index (``...`` or the mask of those left).  An item leaves when
+    done or after ``max_iters`` rounds; only rounds where one leaves record and
+    compact, and if all leave together that round is returned as it is.  The first
+    item whose residual ``check_residual`` rejects at ``tol`` raises ConvergenceError.
     """
-    finished = live[done]
-    for target, value in zip(out, values):
-        target[finished] = value[done]
-    return live[~done]
+    n = len(state[0])
+    live, out = np.arange(n), None
+    for round_ in itertools.count(1):
+        done, (v, q, residual), advance = step(state)
+        if round_ >= max_iters:
+            done[:] = True
+        keep = ...
+        if done.any():
+            finished = v, q, np.full(live.size, round_), residual
+            if out is None and done.all():
+                out = finished
+                break
+            out = out or tuple(np.empty((n, *value.shape[1:]), value.dtype) for value in finished)
+            for target, value in zip(out, finished):
+                target[live[done]] = value[done]
+            live = live[keep := ~done]
+            if not live.size:
+                break
+        state = advance(keep)
+    v, q, rounds, residual = out
+    check_residual(residual, tol, q, lambda i: f"{solver} did not converge in {rounds[i]} rounds")
+    return out
 
 
 def policy_iteration(expected, transition, discount, max_iters):
@@ -143,35 +166,23 @@ def policy_iteration(expected, transition, discount, max_iters):
     Each item starts from the actions that are greedy on its expected
     reward, evaluates its current deterministic policy exactly, and switches
     every action whose greedy gain exceeds the roundoff of its own ``q``, so
-    exact ties cannot make it cycle.  An item stops when its policy is
-    stable or it has run ``max_iters`` rounds.  Returns ``(v (N, S),
-    q (N, S, A), rounds (N,), residual (N,))``.
+    exact ties cannot make it cycle.  An item is done when its policy is
+    stable; ``_iterate`` runs the rounds and accepts at ``DEFAULT_DP_TOL``.
     """
-    n, n_states, _ = expected.shape
-    states = np.arange(n_states)
-    out = v, q, rounds, residual = np.empty((n, n_states)), np.empty_like(expected), np.empty(n, int), np.empty(n)
-    # The running items, their expected rewards and their current actions.
-    live, er, act = np.arange(n), expected, expected.argmax(axis=2)
-    items = live[:, None]
-    for round_ in itertools.count(1):
-        v_live = evaluate_deterministic(transition, discount, act, er[items, states, act, None])[..., 0]
-        q_live = _q_values(er, transition, discount, v_live)
-        best = q_live.max(axis=2)
-        switch = best - q_live[items, states, act] > _roundoff(q_live)[:, None]
-        done = ~switch.any(axis=1)
-        if round_ >= max_iters:
-            done[:] = True
-        if done.any():
-            finished = v_live, q_live, np.full(live.size, round_), np.abs(best - v_live).max(axis=1)
-            if live.size == n and done.all():
-                return finished
-            live = _record(done, live, out, *finished)
-            if not live.size:
-                break
-            keep = ~done
-            er, act, switch, q_live, items = er[keep], act[keep], switch[keep], q_live[keep], items[: live.size]
-        act = np.where(switch, q_live.argmax(axis=2), act)
-    return v, q, rounds, residual
+    states, all_items = np.arange(expected.shape[1]), np.arange(len(expected))[:, None]
+
+    def step(state):
+        er, act = state
+        items = all_items[: len(act)]
+        v = evaluate_deterministic(transition, discount, act, er[items, states, act, None])[..., 0]
+        q = _q_values(er, transition, discount, v)
+        best = q.max(axis=2)
+        switch = best - q[items, states, act] > _roundoff(q)[:, None]
+        residual = np.abs(best - v).max(axis=1)
+        advance = lambda k: (er[k], np.where(switch[k], q[k].argmax(axis=2), act[k]))  # noqa: E731
+        return ~switch.any(axis=1), (v, q, residual), advance
+
+    return _iterate(step, (expected, expected.argmax(axis=2)), max_iters, DEFAULT_DP_TOL, "policy iteration")
 
 
 def soft_policy_iteration(expected, transition, discount, weight, tol, max_iters):
@@ -179,50 +190,38 @@ def soft_policy_iteration(expected, transition, discount, weight, tol, max_iters
 
     Each item starts from the uniform policy, evaluates its entropy-
     regularised value ``(I - gamma P_pi) v = sum_a pi (r - weight log pi)``
-    exactly, and moves to ``pi = softmax(q / weight)``.  An item stops when
+    exactly, and moves to ``pi = softmax(q / weight)``.  An item is done when
     its soft Bellman residual is below ``tol``, or below ``tolerance(tol, q)``
-    and no longer shrinking, or after ``max_iters`` rounds.  Returns
-    ``(v (N, S), q (N, S, A), rounds (N,), residual (N,))``.
+    and no longer shrinking; ``_iterate`` runs the rounds and accepts at ``tol``.
     """
-    n, n_states, n_actions = expected.shape
-    out = v, q, rounds, residual = np.empty((n, n_states)), np.empty_like(expected), np.empty(n, int), np.empty(n)
-    # The running items, their expected rewards, policies, log-policies and last residuals.
-    live, er = np.arange(n), expected
-    policy = np.full(expected.shape, 1.0 / n_actions)
-    log_policy = np.full(expected.shape, -np.log(n_actions))
-    last_resid = np.full(n, np.inf)
-    for round_ in itertools.count(1):
+
+    def step(state):
+        er, policy, log_policy, last_residual = state
         soft_reward = np.einsum("nsa,nsa->ns", policy, er - weight * log_policy)
-        v_live = _solve(transition, discount, policy, soft_reward[..., None])[1][..., 0]
-        q_live = _q_values(er, transition, discount, v_live)
-        m = q_live.max(axis=2)
-        v_soft = m + weight * np.log(np.exp((q_live - m[..., None]) / weight).sum(axis=2))
-        resid = np.abs(v_soft - v_live).max(axis=1)
+        v = _solve(transition, discount, policy, soft_reward[..., None])[1][..., 0]
+        q = _q_values(er, transition, discount, v)
+        m = q.max(axis=2)
+        v_soft = m + weight * np.log(np.exp((q - m[..., None]) / weight).sum(axis=2))
+        residual = np.abs(v_soft - v).max(axis=1)
         # Below the roundoff floor, stop once a round no longer helps.
-        stalled = resid >= last_resid
+        stalled = residual >= last_residual
         if stalled.any():
-            stalled &= resid < tolerance(tol, q_live)
-        done = (resid < tol) | stalled
-        if round_ >= max_iters:
-            done[:] = True
-        if done.any():
-            finished = v_live, q_live, np.full(live.size, round_), resid
-            if live.size == n and done.all():
-                return finished
-            live = _record(done, live, out, *finished)
-            if not live.size:
-                break
-            keep = ~done
-            er, q_live, v_soft, resid = er[keep], q_live[keep], v_soft[keep], resid[keep]
-        last_resid = resid
-        log_policy = (q_live - v_soft[..., None]) / weight
-        policy = np.exp(log_policy)
-        # Rows off 1 by roundoff bias the next evaluation by that error
-        # times 1/(1 - gamma), which can hold the residual above tol.
-        row_sums = policy.sum(axis=2, keepdims=True)
-        policy /= row_sums
-        log_policy -= np.log(row_sums)
-    return v, q, rounds, residual
+            stalled &= residual < tolerance(tol, q)
+
+        def advance(k):
+            log_policy = (q[k] - v_soft[k][..., None]) / weight
+            policy = np.exp(log_policy)
+            # Rows off 1 by roundoff bias the next evaluation by that error
+            # times 1/(1 - gamma), which can hold the residual above tol.
+            row_sums = policy.sum(axis=2, keepdims=True)
+            policy /= row_sums
+            log_policy -= np.log(row_sums)
+            return er[k], policy, log_policy, residual[k]
+        return (residual < tol) | stalled, (v, q, residual), advance
+
+    n, _, n_actions = expected.shape
+    uniform = np.full(expected.shape, 1.0 / n_actions), np.full(expected.shape, -np.log(n_actions))
+    return _iterate(step, (expected, *uniform, np.full(n, np.inf)), max_iters, tol, "soft policy iteration")
 
 
 def _single(v, q, rounds, residual):

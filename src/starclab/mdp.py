@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import DEFAULT_DP_TOL, DEFAULT_MAX_ITERS
-from ._kernels import ConvergenceError  # noqa: F401  (re-exported; the solvers raise it)
+from ._kernels import DEFAULT_DP_TOL, DEFAULT_MAX_ITERS, ConvergenceError  # noqa: F401  (re-exported)
 
 ROW_TOL = 1e-9
 
@@ -264,17 +263,12 @@ def optimal_values_stack(mdp: TabularMdp, rewards: np.ndarray) -> tuple[np.ndarr
     """Optimal values (N, S) and Q-values (N, S, A) of a checked (N, S, A, S)
     reward stack, by one stacked Howard policy iteration.
 
-    ``DEFAULT_DP_TOL`` bounds each item's Bellman residual; it is floored at
-    the roundoff of that item's Q-values (``_kernels.tolerance``).
+    The kernel accepts each item's Bellman residual at ``DEFAULT_DP_TOL``,
+    floored at the roundoff of that item's Q-values (``_kernels.tolerance``).
     ``DEFAULT_MAX_ITERS`` bounds the rounds.  The first item that misses its
     tolerance raises ConvergenceError, with its index as ``item``.
     """
-    tol = DEFAULT_DP_TOL
-    v, q, rounds, resid = _kernels.policy_iteration(
-        expected_reward(mdp, rewards), mdp.transition, mdp.discount, DEFAULT_MAX_ITERS
-    )
-    _kernels.check_residual(resid, tol, q, lambda i: f"policy iteration did not converge in {rounds[i]} rounds")
-    return v, q
+    return _kernels.policy_iteration(expected_reward(mdp, rewards), mdp.transition, mdp.discount, DEFAULT_MAX_ITERS)[:2]
 
 
 def optimal_values(mdp: TabularMdp, reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

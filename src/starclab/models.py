@@ -68,11 +68,8 @@ def _boltzmann_policies(mdp: TabularMdp, rewards: np.ndarray, beta: float) -> np
 
 def _mce_policies(mdp: TabularMdp, rewards: np.ndarray, alpha: float) -> np.ndarray:
     """Maximal-causal-entropy policies (N, S, A) of a checked (N, S, A, S) reward stack."""
-    tol = DEFAULT_DP_TOL
-    _, q, rounds, resid = _kernels.soft_policy_iteration(
-        expected_reward(mdp, rewards), mdp.transition, mdp.discount, alpha, tol, DEFAULT_MAX_ITERS
-    )
-    _kernels.check_residual(resid, tol, q, lambda i: f"soft policy iteration did not converge in {rounds[i]} rounds")
+    er = expected_reward(mdp, rewards)
+    q = _kernels.soft_policy_iteration(er, mdp.transition, mdp.discount, alpha, DEFAULT_DP_TOL, DEFAULT_MAX_ITERS)[1]
     return _softmax(q / alpha)
 
 
@@ -217,7 +214,7 @@ def materialize_model(
     try:
         policies = spec.policies(stack) if stack is not None else None
     except ConvergenceError as exc:
-        raise ConvergenceError(f"model failed on reward {ids[exc.item]!r}: {exc}", residual=exc.residual) from exc
+        raise ConvergenceError(f"model failed on reward {ids[exc.item]!r}: {exc}", exc.residual, exc.item) from exc
     if invalid is not None:
         raise type(invalid)(f"model failed on reward {ids[len(valid)]!r}: {invalid}") from invalid
     return ModelTable(tuple(zip(ids, policies)))

@@ -351,7 +351,7 @@ def decompose_transformation(
 
     recomposed = apply_chain(mdp, reward, chain)
     err = np.linalg.norm(recomposed - reward_target)
-    if err > 1e-8 * max(1.0, np.linalg.norm(reward_target)):
+    if err > 1e-8 * max(np.linalg.norm(reward), np.linalg.norm(reward_target)):
         raise RuntimeError(f"internal error: chain recomposition error {err:g}")
     return chain
 

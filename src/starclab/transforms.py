@@ -293,9 +293,9 @@ def invisible_reward_transition(mdp_1: TabularMdp, mdp_2: TabularMdp) -> np.ndar
         raise InvalidInstance("the two transition kernels are identical")
     system = np.stack([mdp_1.transition[s, a], mdp_2.transition[s, a]])
     row, _, _, _ = np.linalg.lstsq(system, np.array([0.0, 1.0]), rcond=None)
-    if np.abs(system @ row - np.array([0.0, 1.0])).max() > 1e-9:
-        raise RuntimeError(
-            "internal error: mean constraints unsolvable (rows parallel?)"
+    if (residual := np.abs(system @ row - np.array([0.0, 1.0])).max()) > 1e-9:
+        raise InvalidInstance(
+            f"transition rows at (s, a) = ({s}, {a}) are nearly parallel: mean constraints miss by {residual:g} > 1e-09"
         )
     reward = np.zeros_like(mdp_1.transition)
     reward[s, a, :] = row

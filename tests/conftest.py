@@ -24,3 +24,15 @@ def one_state_mdp():
         )
 
     return make
+
+
+@pytest.fixture
+def near_kernel_pair(mdp_4x3):
+    """``mdp_4x3`` and a copy whose row (0, 0) has ``gap`` moved from its second entry to its first."""
+
+    def make(gap: float) -> tuple[TabularMdp, TabularMdp]:
+        transition = mdp_4x3.transition.copy()
+        transition[0, 0, :2] += [gap, -gap]
+        return mdp_4x3, TabularMdp(transition=transition, initial_dist=mdp_4x3.initial_dist, discount=mdp_4x3.discount)
+
+    return make

@@ -117,6 +117,25 @@ def test_round_budget_exhaustion_raises(monkeypatch):
         mce_policy(mdp, reward, 1.0)
 
 
+def test_kernels_accept_their_own_residuals():
+    # Called directly, with no caller to check the result, a capped solve
+    # raises for the first item that has not converged.
+    mdp, _, er = _instance(7, 0.99)
+    stack = np.stack([np.zeros_like(er), er, er])
+    solvers = {
+        "policy iteration": lambda cap: _kernels.policy_iteration(stack, mdp.transition, mdp.discount, cap),
+        "soft policy iteration": lambda cap: _kernels.soft_policy_iteration(
+            stack, mdp.transition, mdp.discount, 1.0, TOL, cap
+        ),
+    }
+    for name, solve in solvers.items():
+        _, _, rounds, resid = solve(100_000)
+        assert rounds[0] == 1 and rounds[1] > 1, name
+        with pytest.raises(ConvergenceError, match=f"^{name} did not converge in 1 rounds: residual") as info:
+            solve(1)
+        assert info.value.item == 1 and info.value.residual > TOL, name
+
+
 def test_evaluation_always_checks_its_residual(monkeypatch):
     mdp, _, er = _instance(11)
     policies = np.full((2, mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)

@@ -272,6 +272,25 @@ def test_every_module_has_a_row():
     assert {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"} == set(PACKAGE_IMPORTS)
 
 
+def _calls(source: str, name: str) -> int:
+    """The calls in ``source`` of ``name``, bare or as an attribute."""
+    return sum(
+        isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+@pytest.mark.parametrize("line", ["check_residual(r, t, q, f)", "_kernels.check_residual(r, t, q, f)"])
+def test_every_call_form_is_read(line):
+    assert _calls(line, "check_residual") == 1
+
+
+def test_only_the_bellman_layer_accepts_residuals():
+    # The kernels accept their own solves, so no caller checks a residual twice or builds its own message.
+    callers = {path.stem for path in PACKAGE_DIR.glob("*.py") if _calls(path.read_text(), "check_residual")}
+    assert callers == {"_kernels"}
+
+
 class TestSameOrder:
     def test_order_equivalent_pair(self):
         mdp = random_mdp(1, 3, 2)

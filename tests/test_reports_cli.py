@@ -254,6 +254,15 @@ class TestCli:
         assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION
         assert "the transition pair measures distance 0 under mdp_eval, not 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gap", (1e-7, 1e-8, 1e-9, 1e-15))
+    def test_nearly_parallel_transition_rows_exit_validation(self, near_kernel_pair, tmp_path, capsys, gap):
+        # These pairs exited 2 with "internal error: mean constraints unsolvable".
+        paths = [tmp_path / "mdp1.json", tmp_path / "mdp2.json"]
+        for mdp, path in zip(near_kernel_pair(gap), paths):
+            save_mdp(mdp, path)
+        assert main(["counterexample", "tau", "--mdp1", str(paths[0]), "--mdp2", str(paths[1])]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+
     def test_unused_tolerance_flags_rejected(self, io_files):
         _, _, _, paths, _ = io_files
         args = ["starc", "--mdp", str(paths["mdp"]), "--reward1", str(paths["r1"]), "--reward2", str(paths["r2"])]

@@ -426,6 +426,17 @@ class TestDecompose:
             out = apply_chain(mdp, r_1, chain)
             assert np.linalg.norm(out - r_2) < 1e-8 * max(1.0, np.linalg.norm(r_2))
 
+    @pytest.mark.parametrize("scale", (1e-12, 1.0, 1e12))
+    def test_recomposition_to_zero_is_refused_at_every_scale(self, monkeypatch, scale):
+        # Against an absolute floor of 1e-8, a chain that recomposes to the
+        # zero tensor passed wherever both rewards were smaller than that.
+        mdp = random_mdp(80, 4, 2)
+        r_1, r_2 = scale * random_reward(90, 4, 2), scale * random_reward(95, 4, 2)
+        decompose_transformation(mdp, r_1, r_2)
+        monkeypatch.setattr(robustness_module, "apply_chain", lambda mdp, reward, chain: np.zeros_like(reward))
+        with pytest.raises(RuntimeError, match="chain recomposition error"):
+            decompose_transformation(mdp, r_1, r_2)
+
     def test_trivial_target_rejected_for_nontrivial_source(self, mdp_4x3, reward_4x3):
         with pytest.raises(InvalidInstance, match="trivial"):
             decompose_transformation(mdp_4x3, reward_4x3, np.full((4, 3, 4), 1.0))

@@ -153,6 +153,7 @@ def test_materialize_names_the_first_failing_hypothesis(monkeypatch):
     with pytest.raises(ConvergenceError, match="model failed on reward 'slow': policy iteration did not converge") as err:
         materialize_model(spec, [("flat", flat), ("slow", slow), ("nan", bad)])
     assert err.value.residual == single.value.residual
+    assert err.value.item == 1
     with pytest.raises(InvalidInstance, match="model failed on reward 'nan'"):
         materialize_model(spec, [("flat", flat), ("nan", bad), ("slow", slow)])
 

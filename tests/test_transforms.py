@@ -28,6 +28,7 @@ from starclab import (
     same_order_oracle,
     starc_distance,
     three_state_chain,
+    transition_counterexample,
 )
 from starclab.mdp import expected_reward
 from starclab.transforms import (
@@ -305,6 +306,19 @@ class TestInvisibleRewardTransition:
     def test_identical_kernels_rejected(self, mdp_4x3):
         with pytest.raises(InvalidInstance, match="identical"):
             invisible_reward_transition(mdp_4x3, mdp_4x3)
+
+    @pytest.mark.parametrize("gap", (1e-7, 1e-8, 1e-9, 1e-15))
+    def test_nearly_parallel_rows_are_refused(self, near_kernel_pair, gap):
+        # The minimum-norm row has entries of about 1/gap, so its means miss by
+        # roundoff of that size.  Rows within 1e-9 count as identical; a gap of
+        # 1e-9 added to these entries lands just above that.
+        parallel = r"transition rows at \(s, a\) = \(0, 0\) are nearly parallel: mean constraints miss by \S+ > 1e-09$"
+        message = "identical" if gap < 1e-9 else parallel
+        mdp_1, mdp_2 = near_kernel_pair(gap)
+        with pytest.raises(InvalidInstance, match=message):
+            invisible_reward_transition(mdp_1, mdp_2)
+        with pytest.raises(InvalidInstance, match=message):
+            transition_counterexample(mdp_1, mdp_2)
 
 
 class TestTransformChain:

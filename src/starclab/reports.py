@@ -122,10 +122,10 @@ def _resolve_mdp(params: dict, prefix: str, seed: int) -> TabularMdp:
     return random_mdp(**{"seed": seed, "n_states": 4, "n_actions": 3, **params.get(prefix, {})})
 
 
-def _resolve_reward(params: dict, key: str, mdp: TabularMdp) -> np.ndarray:
+def _resolve_reward(params: dict, key: str, mdp: TabularMdp, seed: int) -> np.ndarray:
     if f"{key}_file" in params:
         return load_reward(params[f"{key}_file"], mdp)
-    return random_reward(n_states=mdp.n_states, n_actions=mdp.n_actions, **{"seed": 0, **params.get(key, {})})
+    return random_reward(n_states=mdp.n_states, n_actions=mdp.n_actions, **{"seed": seed, **params.get(key, {})})
 
 
 def _models_eval(mdp: TabularMdp, reward: np.ndarray, model: dict | None = None) -> dict:
@@ -145,9 +145,10 @@ class _Kind(NamedTuple):
     ``run`` takes the MDPs, then the rewards (on the first MDP), then the
     options present in the params; an absent option keeps the library's
     default.  Each MDP or reward comes from a generator spec under its name
-    or from a file under its name plus ``_file``; an MDP spec's seed
-    defaults to the MDP's index in ``mdps``, so a kind's MDPs differ by
-    default.  ``run`` returns the results, or a certificate.
+    or from a file under its name plus ``_file``; a spec's seed defaults to
+    its index in ``mdps`` or in ``rewards``, so a kind's MDPs differ by
+    default, and so do its rewards.  ``run`` returns the results, or a
+    certificate.
     """
 
     run: Callable
@@ -190,7 +191,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     start = time.perf_counter()
     kind, params = EXPERIMENT_KINDS[config.kind], config.params
     mdps = [_resolve_mdp(params, name, seed) for seed, name in enumerate(kind.mdps)]
-    rewards = [_resolve_reward(params, name, mdps[0]) for name in kind.rewards]
+    rewards = [_resolve_reward(params, name, mdps[0], seed) for seed, name in enumerate(kind.rewards)]
     results = kind.run(*mdps, *rewards, **{key: params[key] for key in kind.options if key in params})
     if isinstance(results, CounterexampleCertificate):
         results = {"certificate": results.to_dict(), "verified": results.verify()}
@@ -238,14 +239,15 @@ def _non_finite_field(prefix: str, obj) -> str | None:
 
 
 def report_text(report: dict, fmt: str) -> str:
-    """The report as strict JSON, or as a CSV header row and value row.
+    """The report as compact one-line strict JSON, or as a CSV header row and value row.
 
-    NaN and infinities raise InvalidInstance under JSON, and so does a
-    list-valued field under CSV; both name the field.
+    JSON goes through json's C encoder, which it skips when given an
+    ``indent``.  NaN and infinities raise InvalidInstance under JSON, and
+    so does a list-valued field under CSV; both name the field.
     """
     if fmt == "json":
         try:
-            return json.dumps(report, indent=2, allow_nan=False)
+            return json.dumps(report, allow_nan=False)
         except ValueError as exc:
             where = _non_finite_field("", report)
             if where is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +78,12 @@ class CanonicalOperator:
     solved through QR rather than the normal equations, whose squared
     condition number costs digits at discounts near 1.  Building costs
     O(S^3 A); applying it costs O(S^2 A) per reward, the size of the reward.
+    Only ``potentials`` reads ``gain``, so it is formed on first use.
     """
 
     units: np.ndarray  # u, (S*A, S)
     basis: np.ndarray  # Q, (S*A, S)
-    gain: np.ndarray  # T^{-1} Q^T, (S, S*A)
+    tri: np.ndarray  # T, (S, S)
 
     @classmethod
     def build(cls, mdp: TabularMdp) -> "CanonicalOperator":
@@ -89,11 +91,17 @@ class CanonicalOperator:
         rows = mdp.transition.reshape(n_s * n_a, n_s)
         row_norms = np.linalg.norm(rows, axis=1)[:, None]
         shaping = (mdp.discount * rows - np.repeat(np.eye(n_s), n_a, axis=0)) / row_norms
-        basis, tri = np.linalg.qr(shaping)
-        arrays = (rows / row_norms, basis, np.linalg.solve(tri, basis.T))
+        arrays = (rows / row_norms, *np.linalg.qr(shaping))
         for arr in arrays:
             arr.setflags(write=False)
         return cls(*arrays)
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """``T^{-1} Q^T`` (S, S*A), read-only: a reward's row coordinates to its potential."""
+        gain = np.linalg.solve(self.tri, self.basis.T)
+        gain.setflags(write=False)
+        return gain
 
     def _row_coordinates(self, rewards: np.ndarray) -> np.ndarray:
         return np.einsum("nkt,kt->nk", rewards.reshape((len(rewards),) + self.units.shape), self.units)

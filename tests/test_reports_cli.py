@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from starclab import InvalidInstance, boltzmann_policy, random_mdp, random_rewar
 from starclab.cli import EXIT_OK, EXIT_PIPELINE, EXIT_VALIDATION, _config_from_args, build_parser, main
 from starclab import reports
 from starclab.mdp import save_mdp, save_reward
-from starclab.reports import ExperimentConfig, emit_report, run_experiment, strip_timings
+from starclab.reports import ExperimentConfig, emit_report, report_text, run_experiment, strip_timings
 
 
 @pytest.fixture
@@ -135,6 +137,19 @@ class TestRunExperiment:
         assert cert["mdp_gen"] == random_mdp(0, 4, 3).to_dict()
         assert cert["mdp_eval"] == random_mdp(1, 4, 3).to_dict()
 
+    def test_bare_reward_configs_draw_distinct_rewards(self):
+        # Each reward's seed defaults to its index, so a bare config no longer
+        # compares a reward with itself (distance 0.0, same order True).
+        mdp = random_mdp(0, 4, 3)
+        r_1, r_2 = random_reward(0, 4, 3), random_reward(1, 4, 3)
+        results = run_experiment(ExperimentConfig("starc-distance"))["results"]
+        assert results == starc_distance(mdp, r_1, r_2).to_dict()
+        assert results["distance"] == pytest.approx(0.589, abs=1e-3)
+        assert run_experiment(ExperimentConfig("same-order"))["results"] == {"same_order": False}
+        # A one-reward kind keeps seed 0.
+        policy = run_experiment(ExperimentConfig("models-eval"))["results"]["policy"]
+        np.testing.assert_array_equal(policy, boltzmann_policy(mdp, r_1, 1.0))
+
     def test_every_option_has_a_value_rule(self):
         options = {key for kind in reports.EXPERIMENT_KINDS.values() for key in kind.options}
         assert options == set(reports._OPTION_VALUES) | set(reports._MODEL_OPTIONS)
@@ -184,6 +199,81 @@ class TestEmitReport:
         with pytest.raises(InvalidInstance, match="results.policy"):
             emit_report(report, "csv", out)
         assert not out.exists()
+
+
+# One small config of every experiment kind.
+FORMAT_CONFIGS = {
+    "starc-distance": {},
+    "models-eval": {"model": {"kind": "mce", "alpha": 0.5}},
+    "same-order": {"mdp": {"n_states": 3, "n_actions": 2}},
+    "counterexample-gamma": {"mdp": {"seed": 3, "n_states": 3, "n_actions": 2}},
+    "counterexample-tau": {"model_kind": "mce"},
+    "counterexample-perturb": {"mdp": {"seed": 5}, "delta": 1e-2, "seed": 5},
+    "counterexample-optimality": {"mdp": {"n_states": 3, "n_actions": 2}},
+    "gridworld-demo": {"n": 2},
+}
+
+
+def _floats(obj):
+    """Every float in a report, in order."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _floats(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _floats(value)
+
+
+def _indent_calls(source: str) -> int:
+    """The ``json.dump``/``json.dumps`` calls in ``source`` that pass ``indent``."""
+    return sum(
+        isinstance(node, ast.Call)
+        and not {"dump", "dumps"}.isdisjoint((getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+class TestReportFormat:
+    def test_one_config_per_kind(self):
+        assert set(FORMAT_CONFIGS) == set(reports.EXPERIMENT_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(FORMAT_CONFIGS))
+    def test_json_is_one_line_with_every_float_bit_for_bit(self, kind):
+        report = run_experiment(ExperimentConfig(kind, FORMAT_CONFIGS[kind]))
+        text = report_text(report, "json")
+        assert "\n" not in text
+        back = json.loads(text)
+        assert back == json.loads(json.dumps(report))
+        floats = list(_floats(report))
+        assert [x.hex() for x in _floats(back)] == [x.hex() for x in floats] and floats
+
+    def test_cli_json_on_stdout_is_one_line(self, capsys):
+        assert main(["gridworld-demo", "--n", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["results"]["verified"] is True
+
+    def test_non_finite_result_on_stdout_exits_pipeline_printing_nothing(self, capsys, monkeypatch):
+        report = {"schema": reports.SCHEMA_TAG, "results": {"certificate": {"distance": math.nan}}}
+        monkeypatch.setattr("starclab.cli.run_experiment", lambda config: report)
+        assert main(["counterexample", "gamma"]) == EXIT_PIPELINE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pipeline error: report field results.certificate.distance is not finite; JSON cannot represent it\n"
+        )
+
+    @pytest.mark.parametrize("line", ["json.dumps(r, indent=2)", "json.dump(r, fh, indent=None)", "dumps(r, indent=1)"])
+    def test_every_indent_call_form_is_read(self, line):
+        assert _indent_calls(line) == 1
+
+    def test_no_json_call_in_the_package_passes_indent(self):
+        # Given an indent, json skips its C encoder for the pure-Python one.
+        package = Path(reports.__file__).parent
+        assert [path.name for path in package.glob("*.py") if _indent_calls(path.read_text())] == []
 
 
 class TestCli:

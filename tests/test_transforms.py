@@ -163,6 +163,26 @@ class TestCanonicalOperator:
         gc.collect()
         assert freed() is None
 
+    def test_build_forms_no_gain(self):
+        # Only potentials reads gain, so a build for the metric never solves for it.
+        operator = canonical_operator(random_mdp(8, 6, 2))
+        assert "gain" not in vars(operator)
+        operator.potentials(random_reward(9, 6, 2)[None])
+        assert not operator.gain.flags.writeable and operator.gain is operator.gain
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([0.5, 0.9, 0.99]), st.integers(0, 10_000))
+    def test_lazy_potentials_bit_identical_to_eager_gain(self, n_s, n_a, gamma, seed):
+        mdp = random_mdp(seed, n_s, n_a, discount=gamma)
+        rewards = np.stack([random_reward(seed + k, n_s, n_a) for k in range(3)])
+        # The eager build: the same QR of the same shaping rows, solved at build time.
+        rows = mdp.transition.reshape(n_s * n_a, n_s)
+        row_norms = np.linalg.norm(rows, axis=1)[:, None]
+        basis, tri = np.linalg.qr((gamma * rows - np.repeat(np.eye(n_s), n_a, axis=0)) / row_norms)
+        coords = np.einsum("nkt,kt->nk", rewards.reshape(3, n_s * n_a, n_s), rows / row_norms)
+        eager = coords @ np.linalg.solve(tri, basis.T).T
+        assert np.array_equal(canonical_operator(mdp).potentials(rewards), eager)
+
     def test_large_mdp_invariances(self):
         mdp = random_mdp(9, 300, 4)
         reward = random_reward(10, 300, 4)

@@ -7,11 +7,10 @@ Every subcommand is a thin shell over library operations.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 
-from .mdp import InvalidInstance
+from .mdp import InvalidInstance, read_json
 from .models import MODEL_KINDS
 from .reports import EXPERIMENT_KINDS, ExperimentConfig, emit_report, report_text, run_experiment
 
@@ -146,9 +145,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "robustness":
         try:
-            with open(args.config) as fh:
-                config = ExperimentConfig.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, InvalidInstance) as exc:
+            config = ExperimentConfig.from_dict(read_json(args.config))
+        except InvalidInstance as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     else:

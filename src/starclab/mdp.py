@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -337,26 +339,61 @@ def three_state_chain(discount: float = 0.9) -> TabularMdp:
     )
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, or that holds no valid JSON, raises
+    InvalidInstance naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInstance(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        raise InvalidInstance(f"{path} is not valid JSON: {exc}") from exc
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC``: on a filesystem that discards
+    freed blocks, truncating a file that holds data to length 0 costs more
+    than writing a small report.  The old tail is cut after the write
+    instead, so the file holds exactly ``text``.  Only a regular file is
+    cut: a device such as ``/dev/null`` refuses ``ftruncate``.  An existing
+    file keeps its inode, mode, owner and links; a new one gets the mode
+    that ``open(path, "w")`` gives under the umask.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def load_mdp(path) -> TabularMdp:
-    with open(path) as fh:
-        data = json.load(fh)
-    return TabularMdp.from_dict(data)
+    return TabularMdp.from_dict(read_json(path))
 
 
 def save_mdp(mdp: TabularMdp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mdp.to_dict(), fh)
+    write_file(path, json.dumps(mdp.to_dict(), allow_nan=False))
+
+
+def _reward_values(values) -> np.ndarray:
+    """The rule of a reward file's values: a finite (S, A, S) float array."""
+    reward = finite_array(values, "reward")
+    if reward.ndim != 3 or reward.shape[0] != reward.shape[2]:
+        raise InvalidInstance(f"reward values must have shape (S, A, S), got {reward.shape}")
+    return reward
 
 
 def load_reward(path, mdp: TabularMdp | None = None) -> np.ndarray:
-    with open(path) as fh:
-        data = check_object(json.load(fh), "reward document", ("values",))
-    reward = finite_array(data["values"], "reward")
-    if reward.ndim != 3 or reward.shape[0] != reward.shape[2]:
-        raise InvalidInstance(f"reward values must have shape (S, A, S), got {reward.shape}")
+    data = check_object(read_json(path), "reward document", ("values",))
+    reward = _reward_values(data["values"])
     return reward if mdp is None else check_reward(mdp, reward)
 
 
 def save_reward(reward: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"values": np.asarray(reward).tolist()}, fh)
+    """Write ``reward`` as ``load_reward`` reads it; a reward it would refuse raises InvalidInstance, writing nothing."""
+    write_file(path, json.dumps({"values": _reward_values(reward).tolist()}, allow_nan=False))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mdp import COUNT, DISCOUNT, FINITE, POSITIVE, SEED, check_number, check_object
-from .mdp import InvalidInstance, TabularMdp, load_mdp, load_reward, random_mdp, random_reward
+from .mdp import InvalidInstance, TabularMdp, load_mdp, load_reward, random_mdp, random_reward, write_file
 from .metric import starc_distance
 from .models import BehavioralModelSpec, check_model_document, model_kind
 from .oracles import same_order_oracle
@@ -265,6 +265,5 @@ def report_text(report: dict, fmt: str) -> str:
 
 
 def emit_report(report: dict, fmt: str, path) -> None:
-    text = report_text(report, fmt)  # before opening, so a report the format cannot hold leaves no file
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    text = report_text(report, fmt)  # before opening, so a report the format cannot hold touches no file
+    write_file(path, text)

@@ -317,15 +317,56 @@ class TestGenerators:
 class TestJsonIO:
     def test_mdp_round_trip(self, tmp_path, mdp_4x3):
         path = tmp_path / "mdp.json"
-        save_mdp(mdp_4x3, path)
-        loaded = load_mdp(path)
-        assert np.array_equal(loaded.transition, mdp_4x3.transition)
-        assert loaded.discount == mdp_4x3.discount
+        for prior in (None, "x" * 100_000):  # a new file, then one longer than what the save writes
+            if prior is not None:
+                path.write_text(prior)
+            save_mdp(mdp_4x3, path)
+            loaded = load_mdp(path)
+            assert np.array_equal(loaded.transition, mdp_4x3.transition)
+            assert loaded.discount == mdp_4x3.discount
+            assert path.read_text() == json.dumps(mdp_4x3.to_dict())
 
     def test_reward_round_trip(self, tmp_path, mdp_4x3, reward_4x3):
         path = tmp_path / "reward.json"
-        save_reward(reward_4x3, path)
-        assert np.array_equal(load_reward(path, mdp_4x3), reward_4x3)
+        for prior in (None, "x" * 100_000):
+            if prior is not None:
+                path.write_text(prior)
+            save_reward(reward_4x3, path)
+            assert np.array_equal(load_reward(path, mdp_4x3), reward_4x3)
+            assert path.read_text() == json.dumps({"values": reward_4x3.tolist()})
+
+    @pytest.mark.parametrize(
+        "reward, message",
+        [
+            (np.array([[[np.nan, np.inf]]]), "reward has non-finite entries"),
+            ([[[1.0, 2.0]], [[3.0]]], "reward is ragged or not numeric"),
+            (np.zeros((2, 2)), r"reward values must have shape \(S, A, S\), got \(2, 2\)"),
+            (np.zeros((2, 1, 3)), r"reward values must have shape \(S, A, S\), got \(2, 1, 3\)"),
+        ],
+    )
+    def test_save_reward_refuses_what_load_reward_refuses_touching_no_file(self, tmp_path, reward, message):
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_bytes(b'{"values": [[[1.0]]]}')
+        for path in (new, existing):
+            with pytest.raises(InvalidInstance, match=message):
+                save_reward(reward, path)
+        assert not new.exists()
+        assert existing.read_bytes() == b'{"values": [[[1.0]]]}'
+
+    def test_unreadable_or_malformed_files_refused_naming_the_path(self, tmp_path, mdp_4x3):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(json.dumps(mdp_4x3.to_dict())[:40])
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"values": "\xe9"}')
+        for path, message in (
+            (truncated, f"{truncated} is not valid JSON: "),
+            (latin, f"{latin} is not valid JSON: "),
+            (tmp_path / "missing.json", f"cannot read {tmp_path / 'missing.json'}: No such file or directory"),
+            (tmp_path, f"cannot read {tmp_path}: Is a directory"),
+        ):
+            for load in (load_mdp, load_reward):
+                with pytest.raises(InvalidInstance, match=re.escape(message)):
+                    load(path)
 
     def test_malformed_documents_refused_naming_the_field(self, tmp_path, mdp_4x3, reward_4x3):
         path = tmp_path / "doc.json"

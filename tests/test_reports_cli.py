@@ -2,7 +2,9 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,10 @@ class TestEmitReport:
         with pytest.raises(InvalidInstance, match="results.epsilon"):
             emit_report(report, "json", out)
         assert not out.exists()
+        out.write_bytes(b"an earlier report")
+        with pytest.raises(InvalidInstance, match="results.epsilon"):
+            emit_report(report, "json", out)
+        assert out.read_bytes() == b"an earlier report"
 
     def test_csv_has_header_and_one_row(self, tmp_path):
         report = run_experiment(
@@ -199,6 +205,44 @@ class TestEmitReport:
         with pytest.raises(InvalidInstance, match="results.policy"):
             emit_report(report, "csv", out)
         assert not out.exists()
+        out.write_bytes(b"an earlier report")
+        with pytest.raises(InvalidInstance, match="results.policy"):
+            emit_report(report, "csv", out)
+        assert out.read_bytes() == b"an earlier report"
+
+    @pytest.mark.parametrize("old_fmt, new_fmt", [("json", "json"), ("json", "csv"), ("csv", "json")])
+    def test_short_report_over_a_longer_file_leaves_exactly_its_text(self, tmp_path, old_fmt, new_fmt):
+        # The file is rewritten in place, not truncated on open: the old tail must be cut.
+        long = run_experiment(ExperimentConfig("starc-distance", {}))
+        short = {"schema": reports.SCHEMA_TAG, "results": {"distance": 0.25}}
+        out = tmp_path / "report.out"
+        emit_report(long, old_fmt, out)
+        assert out.stat().st_size > len(report_text(short, new_fmt).encode())
+        emit_report(short, new_fmt, out)
+        assert out.read_bytes() == report_text(short, new_fmt).encode()
+
+    def test_rewrite_keeps_the_inode_mode_and_links(self, tmp_path):
+        out, link = tmp_path / "report.json", tmp_path / "link.json"
+        out.write_text("x" * 10_000)
+        out.chmod(0o640)
+        os.link(out, link)
+        before = out.stat()
+        report = run_experiment(ExperimentConfig("gridworld-demo", {"n": 2}))
+        emit_report(report, "json", out)
+        after = out.stat()
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (before.st_ino, 2, 0o640)
+        assert link.read_bytes() == report_text(report, "json").encode()
+
+    def test_new_file_gets_the_mode_open_for_writing_gives(self, tmp_path):
+        report = {"schema": reports.SCHEMA_TAG, "results": {"distance": 0.25}}
+        old_umask = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            emit_report(report, "json", tmp_path / "report.json")
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "report.json").stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 # One small config of every experiment kind.
@@ -234,6 +278,71 @@ def _indent_calls(source: str) -> int:
         and any(keyword.arg == "indent" for keyword in node.keywords)
         for node in ast.walk(ast.parse(source))
     )
+
+
+# The one function that may open a file for writing, and the flags that ask os.open to write.
+WRITER = ("mdp.py", "write_file")
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _write_paths(source: str, writer: str | None = None) -> list[str]:
+    """The ways ``source``, outside the function named ``writer``, opens a file for writing.
+
+    That is an ``open`` or ``fdopen`` call whose mode holds ``w``, ``a``,
+    ``x`` or ``+`` (or is not a string literal), a ``write_text`` or
+    ``write_bytes`` call, and any use of a name in ``WRITE_FLAGS``, such as
+    ``O_TRUNC``.
+    """
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.name == writer:
+            return
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in WRITE_FLAGS:
+            found.append(name)
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            os_open = called == "open" and getattr(getattr(node.func, "value", None), "id", None) == "os"
+            mode = {k.arg: k.value for k in node.keywords}.get("mode", node.args[1] if len(node.args) > 1 else None)
+            if called in ("open", "fdopen") and not os_open and mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value).isdisjoint("wax+")
+            ):
+                found.append(ast.unparse(node))
+            if called in ("write_text", "write_bytes"):
+                found.append(ast.unparse(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+class TestWritePath:
+    @pytest.mark.parametrize("line", [
+        'open(p, "w")', 'open(p, "a", newline="")', 'io.open(p, mode="xb")', 'os.fdopen(fd, "r+")',
+        "open(p, mode)", "os.open(p, os.O_RDWR)", "from os import O_TRUNC",
+        'Path(p).write_text("x")', 'p.write_bytes(b"x")',
+    ])
+    def test_every_write_form_is_read(self, line):
+        assert len(_write_paths(line)) == 1
+
+    @pytest.mark.parametrize("line", [
+        "open(p)", 'open(p, "rb")', 'open(p, mode="r", encoding="utf-8")', "os.open(p, os.O_RDONLY)", "fh.write(t)",
+    ])
+    def test_reads_are_not_writes(self, line):
+        assert _write_paths(line) == []
+
+    def test_only_the_writer_opens_a_file_for_writing(self):
+        # Every file the package writes goes through mdp.write_file, which
+        # rewrites in place; an O_TRUNC open elsewhere would bring back its cost.
+        package = Path(reports.__file__).parent
+        found = {
+            path.name: _write_paths(path.read_text(), WRITER[1] if path.name == WRITER[0] else None)
+            for path in sorted(package.glob("*.py"))
+        }
+        assert {name: paths for name, paths in found.items() if paths} == {}
+        assert _write_paths((package / WRITER[0]).read_text()) != []  # the writer is there, and is read
 
 
 class TestReportFormat:
@@ -321,6 +430,15 @@ class TestCli:
         )
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["results"]["verified"] is True
+
+    @pytest.mark.skipif(
+        not os.path.exists(os.devnull) or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+        reason="the null device is not a character device here",
+    )
+    def test_out_to_the_null_device_exits_ok(self, capsys):
+        # A device cannot be truncated; the writer only cuts regular files.
+        assert main(["gridworld-demo", "--n", "2", "--out", os.devnull]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
 
     def test_gridworld_demo_command(self, capsys):
         rc = main(["gridworld-demo", "--n", "3"])
@@ -540,6 +658,23 @@ class TestCli:
             files = {"--mdp": paths["mdp"], "--reward1": paths["r1"], "--reward2": paths["r2"], flag: bad}
             assert main(["starc", *(str(item) for pair in files.items() for item in pair)]) == EXIT_VALIDATION
             assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_unreadable_or_malformed_input_files_exit_validation_naming_the_file(self, io_files, capsys):
+        _, _, _, paths, tmp = io_files
+        truncated = tmp / "truncated.json"
+        truncated.write_text(paths["mdp"].read_text()[:40])
+        missing = tmp / "missing.json"
+        for bad, message in (
+            (truncated, f"{truncated} is not valid JSON: "),
+            (missing, f"cannot read {missing}: No such file or directory"),
+            (tmp, f"cannot read {tmp}: Is a directory"),
+        ):
+            for flag in ("--mdp", "--reward1"):
+                files = {"--mdp": paths["mdp"], "--reward1": paths["r1"], "--reward2": paths["r2"], flag: bad}
+                assert main(["starc", *(str(item) for pair in files.items() for item in pair)]) == EXIT_VALIDATION
+                assert capsys.readouterr().err.startswith(f"validation error: {message}")
+            assert main(["robustness", "check", "--config", str(bad)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith(f"validation error: {message}")
 
     def test_input_file_that_is_not_an_object_exits_validation(self, io_files, capsys):
         _, _, _, paths, tmp = io_files

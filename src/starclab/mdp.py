@@ -51,6 +51,9 @@ DISCOUNT = Rule("a number in (0, 1)", lambda v: is_finite_real(v) and 0 < v < 1)
 # instance, and numpy refuses a negative one.
 SEED = Rule("a non-negative integer", lambda v: isinstance(v, int | np.integer) and type(v) is not bool and v >= 0)
 COUNT = Rule("a positive integer", lambda v: SEED.valid(v) and v > 0)
+# A path must be a string that names a file: ``open`` reads an integer as a
+# file descriptor, such as 0 for standard input.
+PATH = Rule("a path string", lambda v: isinstance(v, str) and v != "" and "\0" not in v)
 
 
 def check_number(value, rule: Rule, name: str):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import COUNT, DISCOUNT, FINITE, POSITIVE, SEED, check_number, check_object
+from .mdp import COUNT, DISCOUNT, FINITE, PATH, POSITIVE, SEED, check_number, check_object
 from .mdp import InvalidInstance, TabularMdp, load_mdp, load_reward, random_mdp, random_reward, write_file
 from .metric import starc_distance
 from .models import BehavioralModelSpec, check_model_document, model_kind
@@ -42,7 +42,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in EXPERIMENT_KINDS:
             raise InvalidInstance(
                 f"kind: unknown experiment kind {self.kind!r}; expected one of {sorted(EXPERIMENT_KINDS)}"
             )
@@ -51,6 +51,10 @@ class ExperimentConfig:
         specs = [(name, _MDP_SPEC, "random_mdp") for name in kind.mdps]
         specs += [(name, _REWARD_SPEC, "random_reward") for name in kind.rewards]
         for name, keys, generator in specs:
+            if f"{name}_file" in self.params:
+                check_number(self.params[f"{name}_file"], PATH, f"params.{name}_file")
+                if name in self.params:
+                    raise InvalidInstance(f"params.{name}_file: given beside params.{name}; give a spec or a file")
             if name in self.params:
                 _check_keys(f"params.{name}", self.params[name], keys, f"a {generator} spec")
                 for key, value in self.params[name].items():
@@ -67,7 +71,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if "kind" not in check_object(data, "config"):
+        for key in check_object(data, "config"):
+            if key not in ("kind", "params"):
+                raise InvalidInstance(f"{key}: not a config field; expected one of ['kind', 'params']")
+        if "kind" not in data:
             raise InvalidInstance("kind: missing required field")
         return cls(kind=data["kind"], params=data.get("params", {}))
 

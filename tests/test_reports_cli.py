@@ -5,6 +5,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from starclab import InvalidInstance, boltzmann_policy, random_mdp, random_reward, starc_distance
 from starclab.cli import EXIT_OK, EXIT_PIPELINE, EXIT_VALIDATION, _config_from_args, build_parser, main
 from starclab import reports
-from starclab.mdp import save_mdp, save_reward
+from starclab.mdp import ConvergenceError, save_mdp, save_reward
+from starclab.models import MODEL_KINDS
 from starclab.reports import ExperimentConfig, emit_report, report_text, run_experiment, strip_timings
 
 
@@ -79,6 +82,39 @@ class TestRunExperiment:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInstance, match="kind"):
             ExperimentConfig("plot-everything")
+        # A kind that is not a string: a list or an object raised TypeError (unhashable type).
+        for kind in (["starc-distance"], {"kind": "starc-distance"}, None, 3):
+            with pytest.raises(InvalidInstance, match=rf"^kind: unknown experiment kind {re.escape(repr(kind))}; "):
+                ExperimentConfig.from_dict({"kind": kind})
+
+    def test_config_fields_are_kind_and_params(self):
+        # A misspelled "param" was dropped, so the run took the default delta.
+        with pytest.raises(InvalidInstance, match=r"^param: not a config field; expected one of \['kind', 'params'\]$"):
+            ExperimentConfig.from_dict({"kind": "counterexample-perturb", "param": {"delta": 0.5}})
+        config = ExperimentConfig.from_dict({"kind": "counterexample-perturb", "params": {"delta": 0.5}})
+        assert config.params == {"delta": 0.5}
+
+    def test_file_params_must_be_path_strings(self):
+        # open() reads an integer as a file descriptor: 0 read standard input, 2 closed standard error.
+        checked = set()
+        for kind_name, kind in reports.EXPERIMENT_KINDS.items():
+            for name in kind.mdps + kind.rewards:
+                for bad in (0, 2, 7.5, True, None, "", "m\0.json", b"m.json", ["m.json"]):
+                    with pytest.raises(InvalidInstance, match=rf"^params\.{name}_file: must be a path string, got "):
+                        ExperimentConfig(kind_name, {f"{name}_file": bad})
+                ExperimentConfig(kind_name, {f"{name}_file": "m.json"})
+                checked.add(f"{name}_file")
+        assert checked == {"mdp_file", "mdp_1_file", "mdp_2_file", "reward_file", "reward_1_file", "reward_2_file"}
+
+    def test_spec_beside_its_file_refused(self):
+        # The file was read and the spec ignored without a word.
+        for kind, name in (
+            ("starc-distance", "mdp"), ("starc-distance", "reward_2"), ("models-eval", "reward"), ("counterexample-tau", "mdp_1"),
+        ):
+            for spec in ({"seed": 1}, {}):
+                with pytest.raises(InvalidInstance, match=rf"^params\.{name}_file: given beside params\.{name}; "):
+                    ExperimentConfig(kind, {name: spec, f"{name}_file": "x.json"})
+        ExperimentConfig("counterexample-tau", {"mdp_1": {"seed": 1}, "mdp_2_file": "x.json"})
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(InvalidInstance, match="eta"):
@@ -365,16 +401,6 @@ class TestReportFormat:
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out)["results"]["verified"] is True
 
-    def test_non_finite_result_on_stdout_exits_pipeline_printing_nothing(self, capsys, monkeypatch):
-        report = {"schema": reports.SCHEMA_TAG, "results": {"certificate": {"distance": math.nan}}}
-        monkeypatch.setattr("starclab.cli.run_experiment", lambda config: report)
-        assert main(["counterexample", "gamma"]) == EXIT_PIPELINE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "pipeline error: report field results.certificate.distance is not finite; JSON cannot represent it\n"
-        )
-
     @pytest.mark.parametrize("line", ["json.dumps(r, indent=2)", "json.dump(r, fh, indent=None)", "dumps(r, indent=1)"])
     def test_every_indent_call_form_is_read(self, line):
         assert _indent_calls(line) == 1
@@ -383,6 +409,93 @@ class TestReportFormat:
         # Given an indent, json skips its C encoder for the pure-Python one.
         package = Path(reports.__file__).parent
         assert [path.name for path in package.glob("*.py") if _indent_calls(path.read_text())] == []
+
+
+# Every flag of each experiment subcommand set (models eval once per weight
+# flag its --model reads), and the params the flags made when each was
+# mapped to its param by hand.
+FLAG_PARAMS = [
+    (["starc", "--mdp", "m.json", "--reward1", "a.json", "--reward2", "b.json"],
+     "starc-distance", {"mdp_file": "m.json", "reward_1_file": "a.json", "reward_2_file": "b.json"}),
+    (["models", "eval", "--mdp", "m.json", "--reward", "a.json", "--model", "mce", "--beta", "2", "--alpha", "0.5"],
+     "models-eval", {"mdp_file": "m.json", "reward_file": "a.json", "model": {"kind": "mce", "alpha": 0.5}}),
+    (["models", "eval", "--mdp", "m.json", "--reward", "a.json", "--model", "boltzmann", "--beta", "2", "--alpha", "0.5"],
+     "models-eval", {"mdp_file": "m.json", "reward_file": "a.json", "model": {"kind": "boltzmann", "beta": 2.0}}),
+    (["counterexample", "gamma", "--mdp", "m.json", "--gamma1", "0.8", "--gamma2", "0.85", "--beta", "2", "--seed", "3"],
+     "counterexample-gamma", {"gamma_1": 0.8, "gamma_2": 0.85, "beta": 2.0, "seed": 3, "mdp_file": "m.json"}),
+    (["counterexample", "tau", "--mdp1", "m.json", "--mdp2", "n.json", "--beta", "2"],
+     "counterexample-tau", {"mdp_1_file": "m.json", "mdp_2_file": "n.json", "beta": 2.0}),
+    (["counterexample", "perturb", "--mdp", "m.json", "--delta", "0.02", "--c", "3", "--beta", "2", "--seed", "4"],
+     "counterexample-perturb", {"delta": 0.02, "c": 3.0, "beta": 2.0, "seed": 4, "mdp_file": "m.json"}),
+    (["counterexample", "optimality", "--mdp", "m.json", "--seed", "5"],
+     "counterexample-optimality", {"seed": 5, "mdp_file": "m.json"}),
+    (["gridworld-demo", "--n", "4", "--gamma", "0.8", "--alpha", "0.5"],
+     "gridworld-demo", {"n": 4, "gamma": 0.8, "alpha": 0.5}),
+    (["oracle", "same-order", "--mdp", "m.json", "--reward1", "a.json", "--reward2", "b.json", "--seed", "6"],
+     "same-order", {"mdp_file": "m.json", "reward_1_file": "a.json", "reward_2_file": "b.json", "seed": 6}),
+]
+
+
+def _raising(exc):
+    """A stage double that raises ``exc``."""
+    def stage(*args, **kwargs):
+        raise exc
+    return stage
+
+
+NON_FINITE_REPORT = {"schema": reports.SCHEMA_TAG, "results": {"certificate": {"distance": math.nan}}}
+
+# Where a failure is raised -> (argv, the stage replaced and its double, exit
+# code, the start of the one stderr line).  In argv, {mdp}, {r1} and {tmp}
+# are the input files and the test's directory, and {config} a config file
+# holding CONFIGS[row], if it has one.
+EXIT_CODES = {
+    "run-invalid-instance": (["counterexample", "gamma"], ("run_experiment", _raising(InvalidInstance("no pair"))),
+                             EXIT_VALIDATION, "validation error: no pair\n"),
+    "run-convergence": (["counterexample", "gamma"], ("run_experiment", _raising(ConvergenceError("did not settle"))),
+                        EXIT_PIPELINE, "pipeline error: did not settle\n"),
+    "run-memory": (["counterexample", "gamma"], ("run_experiment", _raising(MemoryError("no room"))),
+                   EXIT_PIPELINE, "pipeline error: no room\n"),
+    "run-type": (["counterexample", "gamma"], ("run_experiment", _raising(TypeError("not a float"))),
+                 EXIT_PIPELINE, "pipeline error: not a float\n"),
+    # A valid count that no array can hold fails in the pipeline, not in validation.
+    "run-cannot-allocate": (["robustness", "check", "--config", "{config}"], None, EXIT_PIPELINE, "pipeline error: "),
+    "build-from-flags": (["counterexample", "gamma"], ("_config_from_args", _raising(KeyError("gamma_1"))),
+                         EXIT_PIPELINE, "pipeline error: 'gamma_1'\n"),
+    "build-from-config": (["robustness", "check", "--config", "{config}"],
+                          ("read_json", _raising(RecursionError("too deep"))), EXIT_PIPELINE, "pipeline error: too deep\n"),
+    "csv-list-field-out": (["models", "eval", "--mdp", "{mdp}", "--reward", "{r1}", "--format", "csv", "--out", "{tmp}/policy.csv"],
+                           None, EXIT_VALIDATION, "validation error: report field results.policy is a list"),
+    "csv-list-field-stdout": (["gridworld-demo", "--format", "csv"], None,
+                              EXIT_VALIDATION, "validation error: report field results.certificate."),
+    "json-non-finite": (["counterexample", "gamma"], ("run_experiment", lambda config: NON_FINITE_REPORT), EXIT_PIPELINE,
+                        "pipeline error: report field results.certificate.distance is not finite; JSON cannot represent it\n"),
+    "out-unwritable": (["gridworld-demo", "--n", "2", "--out", "{tmp}/missing/report.json"], None,
+                       EXIT_PIPELINE, "pipeline error: [Errno 2] No such file or directory"),
+}
+CONFIGS = {
+    "run-cannot-allocate": {"kind": "starc-distance", "params": {"mdp": {"n_states": 2**70}}},
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("row", EXIT_CODES)
+    def test_failure_exits_with_its_code(self, row, io_files, capsys, monkeypatch):
+        argv, double, code, err = EXIT_CODES[row]
+        _, _, _, paths, tmp = io_files
+        if double is not None:
+            monkeypatch.setattr(f"starclab.cli.{double[0]}", double[1])
+        if row in CONFIGS:
+            (tmp / "config.json").write_text(json.dumps(CONFIGS[row]))
+        files = {"mdp": paths["mdp"], "r1": paths["r1"], "tmp": tmp, "config": tmp / "config.json"}
+        argv = [arg.format(**files) for arg in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        # One line, so no traceback, and no report.
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 class TestCli:
@@ -479,17 +592,6 @@ class TestCli:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(args + [flag, "1e-6"])
 
-    def test_csv_of_list_report_exits_validation(self, io_files, capsys):
-        _, _, _, paths, tmp = io_files
-        out = tmp / "policy.csv"
-        rc = main(
-            ["models", "eval", "--mdp", str(paths["mdp"]), "--reward", str(paths["r1"]),
-             "--format", "csv", "--out", str(out)]
-        )
-        assert rc == EXIT_VALIDATION
-        assert "results.policy" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_csv_on_stdout(self, io_files, capsys):
         mdp, r_1, r_2, paths, _ = io_files
         rc = main(
@@ -500,13 +602,6 @@ class TestCli:
         header, row = capsys.readouterr().out.splitlines()
         values = dict(zip(header.split(","), row.split(",")))
         assert float(values["results.distance"]) == pytest.approx(starc_distance(mdp, r_1, r_2).distance)
-
-    def test_csv_of_list_report_on_stdout_exits_validation(self, capsys):
-        rc = main(["gridworld-demo", "--format", "csv"])
-        assert rc == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert "results.certificate" in captured.err
-        assert captured.out == ""
 
     def test_misspelled_config_key_exits_validation(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -630,13 +725,6 @@ class TestCli:
         assert main(["robustness", "check", "--config", str(config)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["config"]["params"]["mdp"]["concentration"] == 2**70
 
-    def test_count_numpy_cannot_allocate_exits_pipeline(self, tmp_path, capsys):
-        # A valid count that no array can hold fails in the pipeline, not in validation.
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"kind": "starc-distance", "params": {"mdp": {"n_states": 2**70}}}))
-        assert main(["robustness", "check", "--config", str(config)]) == EXIT_PIPELINE
-        assert capsys.readouterr().err.startswith("pipeline error: ")
-
     def test_malformed_input_files_exit_validation_naming_the_field(self, io_files, capsys):
         mdp, r_1, _, paths, tmp = io_files
         ragged_values = r_1.tolist()
@@ -704,3 +792,59 @@ class TestCli:
         bad.write_text(json.dumps({"kind": "not-a-kind"}))
         rc = main(["robustness", "check", "--config", str(bad)])
         assert rc == EXIT_VALIDATION
+
+    def test_bad_config_fields_exit_validation(self, io_files, capsys):
+        _, _, _, paths, tmp = io_files
+        config = tmp / "config.json"
+        for doc, message in (
+            ({"kind": ["starc-distance"]}, "kind: unknown experiment kind ['starc-distance']; "),
+            ({"kind": "starc-distance", "params": {"reward_1_file": 7.5}}, "params.reward_1_file: must be a path string, got 7.5\n"),
+            ({"kind": "starc-distance", "params": {"mdp": {"seed": 1}, "mdp_file": str(paths["mdp"])}},
+             "params.mdp_file: given beside params.mdp; "),
+            ({"kind": "counterexample-perturb", "param": {"delta": 0.5}}, "param: not a config field; "),
+        ):
+            config.write_text(json.dumps(doc))
+            assert main(["robustness", "check", "--config", str(config)]) == EXIT_VALIDATION, doc
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"validation error: {message}") and captured.out == "", doc
+
+    @pytest.mark.parametrize("fd", [0, 2])
+    def test_file_descriptor_number_is_not_a_path(self, io_files, fd):
+        # In a fresh process: 0 read the MDP piped to standard input and exited 0,
+        # and 2 closed standard error and exited 1 printing nothing.
+        _, _, _, paths, tmp = io_files
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"kind": "starc-distance", "params": {"mdp_file": fd}}))
+        src = str(Path(reports.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "starclab.cli", "robustness", "check", "--config", str(config)],
+            input=paths["mdp"].read_bytes(), capture_output=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (EXIT_VALIDATION, b"")
+        assert done.stderr == f"validation error: params.mdp_file: must be a path string, got {fd}\n".encode()
+
+    def test_every_flag_stores_under_the_param_it_sets(self):
+        # _config_from_args keeps the flags whose names its kind accepts, so a
+        # flag stored under any other name would be dropped.  The only flags
+        # that are not params are the report flags and models eval's model flags.
+        weights = {kind.weight for kind in MODEL_KINDS.values() if kind.weight}
+        flags = {}
+        for path, parser in _experiment_commands(build_parser()):
+            accepted = reports.EXPERIMENT_KINDS[parser.get_default("kind")].accepted() | {"format", "out"}
+            if path == ["models", "eval"]:
+                accepted |= {"model", *weights}
+            actions = [action for action in parser._actions if action.option_strings and action.dest != "help"]
+            for action in actions:
+                assert action.dest in accepted, (path, action.option_strings[0], action.dest)
+            flags[tuple(path)] = {action.option_strings[0] for action in actions} - {"--format", "--out"}
+        assert len(flags) == 8
+        # Each row sets every flag of its subcommand, and gets the params those flags made before.
+        covered = set()
+        for argv, kind, params in FLAG_PARAMS:
+            path = next(path for path in flags if tuple(argv[: len(path)]) == path)
+            assert {arg for arg in argv if arg.startswith("--")} == flags[path], argv
+            config = _config_from_args(build_parser().parse_args([*argv, "--format", "csv", "--out", "r.csv"]))
+            assert (config.kind, config.params) == (kind, params), argv
+            covered.add(path)
+        assert covered == set(flags)
